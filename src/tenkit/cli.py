@@ -395,12 +395,13 @@ def main(argv=None) -> int:
             tio.ContainerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (NumericalFailure, np.linalg.LinAlgError) as exc:
+        # ahead of ValueError: numpy >= 2.4's LinAlgError subclasses it
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except (JobSpecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalFailure, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -61,7 +61,7 @@ class DenseTensor:
         arr = np.asarray(arr, dtype=np.float64)
         if arr.ndim == 0:
             raise ValueError("tensor order must be at least 1")
-        return cls(arr.shape, arr.ravel(order="F"))
+        return cls(arr.shape, arr.flatten(order="F"), copy=False)
 
     def to_array(self) -> np.ndarray:
         """Read-only ndarray view with shape ``dims``."""

@@ -63,8 +63,17 @@ def _read(path, magic: bytes) -> tuple[dict, np.ndarray]:
         header = json.loads(raw[12:12 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ContainerError(f"{path}: malformed header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ContainerError(f"{path}: header is not a JSON object")
     payload = np.frombuffer(raw[12 + hlen:], dtype="<f8")
     return header, payload
+
+
+def _field(path, header: dict, key: str):
+    """Required header entry; a missing one makes the container malformed."""
+    if key not in header:
+        raise ContainerError(f"{path}: header lacks required key {key!r}")
+    return header[key]
 
 
 class _PayloadReader:
@@ -99,7 +108,7 @@ def read_dense(path) -> DenseTensor:
     if header.get("scalar") != "f64" or \
             header.get("convention") != "little-endian":
         raise ContainerError(f"{path}: unsupported scalar type or convention")
-    dims = tuple(int(d) for d in header["dims"])
+    dims = tuple(int(d) for d in _field(path, header, "dims"))
     if int(header.get("order", len(dims))) != len(dims):
         raise ContainerError(f"{path}: order/dims mismatch in header")
     if payload.size != prod(dims):
@@ -116,9 +125,9 @@ def write_cp(path, m: CPModel) -> None:
 
 def read_cp(path) -> CPModel:
     header, payload = _read(path, MAGIC_CPM)
-    rank = int(header["rank"])
-    dims = [int(d) for d in header["dims"]]
-    weights = np.array(header["weights"], dtype=np.float64)
+    rank = int(_field(path, header, "rank"))
+    dims = [int(d) for d in _field(path, header, "dims")]
+    weights = np.array(_field(path, header, "weights"), dtype=np.float64)
     reader = _PayloadReader(path, payload)
     factors = [reader.take((d, rank)) for d in dims]
     reader.finish()
@@ -134,8 +143,8 @@ def write_tucker(path, m: TuckerModel) -> None:
 
 def read_tucker(path) -> TuckerModel:
     header, payload = _read(path, MAGIC_TKM)
-    dims = [int(d) for d in header["dims"]]
-    ranks = [int(r) for r in header["ranks"]]
+    dims = [int(d) for d in _field(path, header, "dims")]
+    ranks = [int(r) for r in _field(path, header, "ranks")]
     identity = set(int(n) for n in header.get("identity_modes", []))
     reader = _PayloadReader(path, payload)
     core = DenseTensor(ranks, reader.take((prod(ranks),)))
@@ -171,11 +180,14 @@ def read_tt(path):
     kind = header.get("kind")
     reader = _PayloadReader(path, payload)
     scheme = None
-    if header.get("quantization"):
-        scheme = QuantizationScheme.from_dict(header["quantization"])
-    ranks = [int(r) for r in header["ranks"]]
+    quant = header.get("quantization")
+    if quant:
+        for key in ("dims", "mode_factors"):
+            _field(path, quant, key)
+        scheme = QuantizationScheme.from_dict(quant)
+    ranks = [int(r) for r in _field(path, header, "ranks")]
     if kind == "mps":
-        dims = [int(d) for d in header["dims"]]
+        dims = [int(d) for d in _field(path, header, "dims")]
         chain = [1] + ranks + [1]
         cores = [reader.take((chain[n], dims[n], chain[n + 1]))
                  for n in range(len(dims))]
@@ -184,9 +196,10 @@ def read_tt(path):
         model = TTModel(cores, None if center is None else int(center))
         return model, scheme
     if kind == "mpo":
-        rows = [int(d) for d in header["row_dims"]]
-        cols = [int(d) for d in header["col_dims"]]
-        pairing = [tuple(int(x) for x in p) for p in header["pairing"]]
+        rows = [int(d) for d in _field(path, header, "row_dims")]
+        cols = [int(d) for d in _field(path, header, "col_dims")]
+        pairing = [tuple(int(x) for x in p)
+                   for p in _field(path, header, "pairing")]
         chain = [1] + ranks + [1]
         cores = [reader.take((chain[n], rows[n], cols[n], chain[n + 1]))
                  for n in range(len(rows))]
@@ -211,20 +224,21 @@ def write_hopta(path, root: HOPTANode) -> None:
 
 
 def _hopta_build(tree: dict, reader: _PayloadReader) -> HOPTANode:
-    if tree["kind"] == "leaf":
-        dims = tuple(int(d) for d in tree["dims"])
+    kind = _field(reader.path, tree, "kind")
+    if kind == "leaf":
+        dims = tuple(int(d) for d in _field(reader.path, tree, "dims"))
         return HOPTANode.leaf(DenseTensor(dims, reader.take((prod(dims),))))
-    if tree["kind"] == "sum":
+    if kind == "sum":
         return HOPTANode.sum_of_outer(
             [[_hopta_build(child, reader) for child in term]
-             for term in tree["terms"]])
-    raise ContainerError(f"unknown HOPTA node kind {tree['kind']!r}")
+             for term in _field(reader.path, tree, "terms")])
+    raise ContainerError(f"{reader.path}: unknown HOPTA node kind {kind!r}")
 
 
 def read_hopta(path) -> HOPTANode:
     header, payload = _read(path, MAGIC_HOP)
     reader = _PayloadReader(path, payload)
-    root = _hopta_build(header["tree"], reader)
+    root = _hopta_build(_field(path, header, "tree"), reader)
     reader.finish()
     return root
 

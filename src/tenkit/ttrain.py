@@ -181,6 +181,14 @@ def _rank_caps(max_ranks, n_bonds: int) -> list[int | None]:
     return caps
 
 
+def _mirror(cores: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Cores of the same tensor with its modes in reverse order.  The tensor's
+    own mirror is ``t.to_array().T``, a C-contiguous view of the canonical
+    buffer, so a left-to-right sweep of the mirrored chain is a
+    right-to-left sweep of the original."""
+    return [c.transpose(2, 1, 0) for c in reversed(cores)]
+
+
 def tt_svd(t: DenseTensor, eps: float | None = None,
            max_ranks=None, sweep: str = "lr") -> TTModel:
     """TT-SVD: left-to-right truncated-SVD splits of the remainder matrix.
@@ -198,25 +206,15 @@ def tt_svd(t: DenseTensor, eps: float | None = None,
         raise ValueError("eps must lie in [0, 1)")
     if sweep not in ("lr", "rl"):
         raise ValueError(f"unknown sweep direction {sweep!r}")
-    if sweep == "rl":
-        rev = DenseTensor.from_array(t.to_array().transpose(range(t.order - 1, -1, -1)))
-        caps = None if max_ranks is None or np.isscalar(max_ranks) else \
-            list(reversed(list(max_ranks)))
-        if caps is None:
-            caps = max_ranks
-        m = tt_svd(rev, eps=eps, max_ranks=caps, sweep="lr")
-        cores = [c.transpose(2, 1, 0) for c in reversed(m.cores)]
-        out = TTModel(cores, ortho_center=1, meta=dict(m.meta))
-        out.meta["active_bounds"] = list(reversed(m.meta.get("active_bounds", [])))
-        return out
-
-    dims = t.dims
-    n_modes = len(dims)
+    n_modes = t.order
     caps = _rank_caps(max_ranks, max(n_modes - 1, 0))
     delta = None
     if eps is not None:
         delta = eps * frobenius_norm(t) / sqrt(max(n_modes - 1, 1))
     arr = t.to_array()
+    if sweep == "rl":
+        arr, caps = arr.T, caps[::-1]
+    dims = arr.shape
     cores = []
     bounds = []
     rank = 1
@@ -230,6 +228,9 @@ def tt_svd(t: DenseTensor, eps: float | None = None,
         rem = s[:r, None] * vt[:r]
         rank = r
     cores.append(rem.reshape(rank, dims[-1], 1))
+    if sweep == "rl":
+        return TTModel(_mirror(cores), ortho_center=1,
+                       meta={"active_bounds": bounds[::-1]})
     return TTModel(cores, ortho_center=n_modes,
                    meta={"active_bounds": bounds})
 
@@ -436,6 +437,64 @@ def _residual(t: DenseTensor, cores, norm_t: float, cap: int,
                  / norm_t)
 
 
+def _half_sweep(arr: np.ndarray, cores: list, caps: Sequence[int | None],
+                width: int, split: Callable) -> None:
+    """One left-to-right half-sweep of ``width``-site local steps, in place.
+
+    ``cores`` must be right-orthogonal from site 2 on and ``arr`` is the
+    tensor as a C-contiguous array with one axis per site, so every reshape
+    below is a view.  Each window is set to the projection of ``arr`` onto
+    the orthonormal interfaces and split by ``split(mat, cap)`` into
+    (left, rest) with orthonormal left columns.  The next window replaces
+    ``rest`` except after the last window, which keeps it.  The
+    orthogonality center ends on the last site.
+    """
+    n_modes = len(cores)
+    dims = arr.shape
+    renvs = _right_interfaces(cores)
+    left = np.ones((1, 1))
+    for n in range(n_modes - width + 1):
+        renv = renvs[n + width]
+        mat = arr.reshape(left.shape[0], -1, renv.shape[1])
+        w = np.einsum("pr,pxq,sq->rxs", left, mat, renv, optimize=True)
+        last = n == n_modes - width
+        if last and width == 1:
+            cores[n] = w
+            return
+        a, rest = split(w.reshape(w.shape[0] * dims[n], -1), caps[n])
+        cores[n] = a.reshape(w.shape[0], dims[n], a.shape[1])
+        if last:
+            cores[n + 1] = rest.reshape(a.shape[1], dims[n + 1], 1)
+            return
+        left = np.tensordot(left, cores[n], axes=(1, 0))
+        left = left.reshape(-1, a.shape[1])
+
+
+def _sweeps(t: DenseTensor, norm_t: float, cores: list, width: int,
+            split: Callable, caps: list, max_sweeps: int, target: float,
+            tol: float, cap: int) -> TTModel:
+    """Alternating half-sweeps from a chain whose orthogonality center is
+    site 1.  The right-to-left half is :func:`_half_sweep` on the mirrored
+    chain.  The relative residual is recorded after every half-sweep; the
+    sweeps stop once it is <= ``target`` or moved by less than ``tol`` over
+    the last two half-sweeps."""
+    views = (np.ascontiguousarray(t.to_array()), t.to_array().T)
+    history = []
+    flipped = False
+    for _ in range(2 * max_sweeps):
+        _half_sweep(views[flipped], cores, caps[::-1] if flipped else caps,
+                    width, split)
+        cores, flipped = _mirror(cores), not flipped
+        history.append(_residual(t, _mirror(cores) if flipped else cores,
+                                 norm_t, cap, cores[0]))
+        if history[-1] <= target or (len(history) > 2 and
+                                     abs(history[-3] - history[-1]) < tol):
+            break
+    return TTModel(_mirror(cores) if flipped else cores,
+                   ortho_center=t.order if flipped else 1,
+                   meta={"residual_history": history})
+
+
 def tt_als(t: DenseTensor, ranks: Sequence[int] | int, *,
            max_sweeps: int = 20, tol: float = 1e-12, seed=None,
            cap: int = DENSE_CAP) -> TTModel:
@@ -443,9 +502,14 @@ def tt_als(t: DenseTensor, ranks: Sequence[int] | int, *,
 
     With the complement held in mixed-canonical form, the optimal core at each
     site is the projection of ``t`` onto the orthonormal left/right
-    interfaces.  The relative residual is recorded once per half-sweep in
-    ``meta['residual_history']`` and is non-increasing up to roundoff; the
-    sweep stops on a stall (change < ``tol``) or after ``max_sweeps``.
+    interfaces, and a QR split moves the orthogonality center on.  The
+    relative residual is recorded after every half-sweep in
+    ``meta['residual_history']`` and is non-increasing up to roundoff.  The
+    sweeps stop after the first half-sweep whose residual is 0 or differs by
+    less than ``tol`` from the one two half-sweeps before, or after
+    ``max_sweeps`` full sweeps.  ``ortho_center`` is where the last
+    half-sweep left the center: site N after a left-to-right half, site 1
+    after a right-to-left half or when ``max_sweeps`` is 0.
     """
     dims = t.dims
     n_modes = t.order
@@ -465,48 +529,8 @@ def tt_als(t: DenseTensor, ranks: Sequence[int] | int, *,
     cores = [rng.standard_normal((chain[n], dims[n], chain[n + 1]))
              for n in range(n_modes)]
     cores = tt_orthogonalize(TTModel(cores), 1).cores
-    arr = t.to_array()
-    history = []
-
-    def local_core(n, left, renv):
-        pl = left.shape[0]
-        mat = arr.reshape(pl, dims[n], -1)
-        return np.einsum("pr,piq,sq->ris", left, mat, renv, optimize=True)
-
-    for sweep in range(max_sweeps):
-        # left-to-right half sweep
-        renvs = _right_interfaces(cores)
-        left = np.ones((1, 1))
-        for n in range(n_modes):
-            g = local_core(n, left, renvs[n + 1])
-            cores[n] = g
-            if n < n_modes - 1:
-                q, r = np.linalg.qr(g.reshape(-1, g.shape[2]))
-                cores[n] = q.reshape(g.shape[0], g.shape[1], q.shape[1])
-                cores[n + 1] = np.tensordot(r, cores[n + 1], axes=(1, 0))
-                left = np.tensordot(left, cores[n], axes=(1, 0))
-                left = left.reshape(-1, cores[n].shape[2])
-        history.append(_residual(t, cores, norm_t, cap, cores[-1]))
-        # right-to-left half sweep
-        lenvs = [np.ones((1, 1))]
-        for n in range(n_modes - 1):
-            nxt = np.tensordot(lenvs[-1], cores[n], axes=(1, 0))
-            lenvs.append(nxt.reshape(-1, cores[n].shape[2]))
-        renv = np.ones((1, 1))
-        for n in range(n_modes - 1, -1, -1):
-            g = local_core(n, lenvs[n], renv)
-            cores[n] = g
-            if n > 0:
-                q, r = np.linalg.qr(g.reshape(g.shape[0], -1).T)
-                cores[n] = q.T.reshape(q.shape[1], g.shape[1], g.shape[2])
-                cores[n - 1] = np.tensordot(cores[n - 1], r.T, axes=(2, 0))
-                nxt = np.tensordot(cores[n], renv, axes=(2, 0))
-                renv = nxt.reshape(cores[n].shape[0], -1)
-        history.append(_residual(t, cores, norm_t, cap, cores[0]))
-        if sweep > 0 and abs(history[-3] - history[-1]) < tol:
-            break
-    return TTModel(cores, ortho_center=1,
-                   meta={"residual_history": history})
+    return _sweeps(t, norm_t, cores, 1, lambda mat, _: np.linalg.qr(mat),
+                   [None] * (n_modes - 1), max_sweeps, 0.0, tol, cap)
 
 
 def _svd_splitter(mat: np.ndarray, delta: float,
@@ -526,12 +550,16 @@ def tt_mals(t: DenseTensor, eps: float, *, max_sweeps: int = 10,
     at the local tolerance eps |t|_F / sqrt(N-1); bond ranks adapt both ways.
     Starts from a random rank-1 chain.  ``splitter(mat, delta, cap)`` may
     replace the SVD split (e.g. a nonnegative factorization); it must return
-    (left, right) with orthonormal left columns.  Residuals per half-sweep
-    land in ``meta['residual_history']``.
+    (left, right) with orthonormal left columns.  The relative residual is
+    recorded after every half-sweep in ``meta['residual_history']``.  The
+    sweeps stop after the first half-sweep whose residual is <= ``eps`` or
+    differs by less than 1e-14 from the one two half-sweeps before, or after
+    ``max_sweeps`` full sweeps.  ``ortho_center`` is where the last
+    half-sweep left the center: site N after a left-to-right half, site 1
+    after a right-to-left half or when ``max_sweeps`` is 0.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    dims = t.dims
     n_modes = t.order
     if n_modes < 2:
         raise ValueError("MALS needs an order >= 2 tensor")
@@ -542,53 +570,11 @@ def tt_mals(t: DenseTensor, eps: float, *, max_sweeps: int = 10,
     split = splitter or _svd_splitter
     delta = eps * norm_t / sqrt(n_modes - 1)
     rng = np.random.default_rng(seed)
-    cores = [rng.standard_normal((1, d, 1)) for d in dims]
+    cores = [rng.standard_normal((1, d, 1)) for d in t.dims]
     cores = tt_orthogonalize(TTModel(cores), 1).cores
-    arr = t.to_array()
-    history = []
-
-    def supercore(n, left, renv):
-        pl = left.shape[0]
-        mat = arr.reshape(pl, dims[n], dims[n + 1], -1)
-        return np.einsum("pr,pijq,sq->rijs", left, mat, renv, optimize=True)
-
-    for sweep in range(max_sweeps):
-        renvs = _right_interfaces(cores)
-        left = np.ones((1, 1))
-        for n in range(n_modes - 1):
-            w = supercore(n, left, renvs[n + 2])
-            bond_cap = caps[n]
-            a, b = split(w.reshape(w.shape[0] * dims[n], -1), delta, bond_cap)
-            r = a.shape[1]
-            cores[n] = a.reshape(w.shape[0], dims[n], r)
-            cores[n + 1] = b.reshape(r, dims[n + 1], w.shape[3])
-            if n < n_modes - 2:
-                left = np.tensordot(left, cores[n], axes=(1, 0))
-                left = left.reshape(-1, cores[n].shape[2])
-        history.append(_residual(t, cores, norm_t, cap, cores[-1]))
-        if history[-1] <= eps or (len(history) > 2 and
-                                  abs(history[-3] - history[-1]) < 1e-14):
-            break
-        # right-to-left half sweep; the orthonormal split factor goes on the
-        # right bond, so the supercore matrix is split transposed
-        lenvs = [np.ones((1, 1))]
-        for n in range(n_modes - 1):
-            nxt = np.tensordot(lenvs[-1], cores[n], axes=(1, 0))
-            lenvs.append(nxt.reshape(-1, cores[n].shape[2]))
-        renv = np.ones((1, 1))
-        for n in range(n_modes - 2, -1, -1):
-            w = supercore(n, lenvs[n], renv)
-            a, b = split(w.reshape(w.shape[0] * dims[n], -1).T, delta, caps[n])
-            r = a.shape[1]
-            cores[n + 1] = a.T.reshape(r, dims[n + 1], w.shape[3])
-            cores[n] = b.T.reshape(w.shape[0], dims[n], r)
-            if n > 0:
-                nxt = np.tensordot(cores[n + 1], renv, axes=(2, 0))
-                renv = nxt.reshape(cores[n + 1].shape[0], -1)
-        history.append(_residual(t, cores, norm_t, cap, cores[0]))
-        if history[-1] <= eps:
-            break
-    return TTModel(cores, meta={"residual_history": history})
+    return _sweeps(t, norm_t, cores, 2,
+                   lambda mat, bond_cap: split(mat, delta, bond_cap),
+                   caps, max_sweeps, eps, 1e-14, cap)
 
 
 def tt_to_strong_kron(m: TTModel, cap: int = DENSE_CAP) -> tuple[list[BlockMatrix], np.ndarray]:

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .dense import DenseTensor, frobenius_norm, unfold
 from .ops import mode_n_matrix_product, multilinear_product
+from .ttrain import _truncation_rank
 
 _PINV_RCOND = 1e-12
 _ORTHO_RTOL = 1e-10
@@ -70,19 +72,6 @@ def _fix_signs(u: np.ndarray) -> np.ndarray:
     return u * signs
 
 
-def _rank_for_budget(s: np.ndarray, budget_sq: float) -> int:
-    # Smallest leading rank whose discarded tail of squared singular values
-    # fits within budget_sq.
-    tail = np.cumsum(s[::-1] ** 2)[::-1]
-    keep = s.size
-    while keep > 1 and tail[keep - 1] <= budget_sq:
-        keep -= 1
-    if keep == 1 and tail[0] <= budget_sq:
-        # even rank 1 exceeds the data; keep one direction regardless
-        return 1
-    return keep
-
-
 def hosvd(t: DenseTensor, ranks: Sequence[int] | None = None,
           eps: float | None = None,
           identity_modes: Iterable[int] = ()) -> TuckerModel:
@@ -116,9 +105,9 @@ def hosvd(t: DenseTensor, ranks: Sequence[int] | None = None,
                                  f"of dim {t.dims[n - 1]}")
 
     n_free = t.order - len(identity_modes)
-    budget_sq = None
+    delta = None
     if eps is not None and n_free > 0:
-        budget_sq = (eps * frobenius_norm(t)) ** 2 / n_free
+        delta = eps * frobenius_norm(t) / sqrt(n_free)
 
     factors: list[np.ndarray | None] = []
     for n in range(1, t.order + 1):
@@ -128,10 +117,8 @@ def hosvd(t: DenseTensor, ranks: Sequence[int] | None = None,
         u, s, _ = np.linalg.svd(unfold(t, n), full_matrices=False)
         if ranks is not None:
             r = ranks[n - 1]
-        elif budget_sq is not None:
-            r = _rank_for_budget(s, budget_sq)
         else:
-            r = s.size
+            r, _ = _truncation_rank(s, delta, None)
         factors.append(_fix_signs(u[:, :r]))
 
     core = multilinear_product(

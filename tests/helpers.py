@@ -1,6 +1,9 @@
 """Shared test fixtures: seeded ground-truth models and alignment scoring."""
 
 import itertools
+import json
+import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -68,3 +71,14 @@ def geometric_vector(length, ratio=1.05):
     2**12 (a base-2 geometric vector already overflows at length 2**11).
     """
     return DenseTensor((length,), ratio ** np.arange(length))
+
+
+def drop_header_key(path, key):
+    """Rewrite a container in place with ``key`` removed from its header."""
+    raw = Path(path).read_bytes()
+    hlen = struct.unpack("<I", raw[8:12])[0]
+    header = json.loads(raw[12:12 + hlen])
+    del header[key]
+    blob = json.dumps(header).encode("utf-8")
+    Path(path).write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob +
+                           raw[12 + hlen:])

@@ -6,10 +6,11 @@ import re
 
 import numpy as np
 
-from helpers import geometric_vector, random_tt, well_conditioned_cp
+from helpers import (drop_header_key, geometric_vector, random_tt,
+                     well_conditioned_cp)
 from tenkit import io as tio
 from tenkit.cli import BENCH_HEADER, main
-from tenkit.cpd import cp_reconstruct
+from tenkit.cpd import CPModel, cp_reconstruct
 from tenkit.dense import DenseTensor
 from tenkit.ttrain import tt_reconstruct
 
@@ -256,6 +257,27 @@ def test_decompose_cpd_nonconvergence_exit_3(tmp_path, capsys):
     assert "numerical failure" in err
     assert "rel_error=" in stdout  # report still printed
     assert (tmp_path / "m.cpm").exists()
+
+
+def test_decompose_nan_input_exit_3(tmp_path, capsys):
+    arr = np.arange(27.0).reshape(3, 3, 3)
+    arr[1, 1, 1] = np.nan
+    inp = write_fixture(tmp_path, "t.dten", DenseTensor.from_array(arr))
+    code, _, err = run(["decompose", inp, "--format", "tucker", "--rank",
+                        "2,2,2", "--output", str(tmp_path / "m.tkm")], capsys)
+    assert code == 3
+    assert "numerical failure" in err
+
+
+def test_model_header_without_rank_exit_1(tmp_path, capsys):
+    model = str(tmp_path / "m.cpm")
+    tio.write_cp(model, CPModel(np.ones(2), [np.ones((3, 2))] * 3))
+    drop_header_key(model, "rank")
+    for args in (["info", model],
+                 ["reconstruct", model, "--output", str(tmp_path / "o.dten")]):
+        code, _, err = run(args, capsys)
+        assert code == 1
+        assert err.startswith("error: ") and "'rank'" in err
 
 
 def test_round_rejects_mpo(tmp_path, capsys):

@@ -275,6 +275,15 @@ def test_dense_tensor_immutable():
         t.data[0] = 99.0
 
 
+def test_from_array_owns_its_data():
+    base = np.arange(24.0).reshape(2, 3, 4)
+    for arr in (base.copy(), np.asfortranarray(base)):
+        t = DenseTensor.from_array(arr)
+        assert not np.shares_memory(t.data, arr)
+        assert arr.flags.writeable
+        assert np.array_equal(t.to_array(), base)
+
+
 def test_element_accessor():
     t = iota((2, 3, 4))
     for idx in all_indices(t.dims):

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from helpers import random_tt
+from helpers import drop_header_key, random_tt
 from tenkit import io as tio
 from tenkit.blockmodels import HOPTANode, hopta_reconstruct
 from tenkit.cpd import CPModel, cp_reconstruct, normalize
@@ -55,6 +55,20 @@ def test_dten_malformed(tmp_path):
     good.write_bytes(good.read_bytes()[:-8])
     with pytest.raises(tio.ContainerError):
         tio.read_dense(good)
+
+
+@pytest.mark.parametrize("name, write, key", [
+    ("m.cpm", lambda p: tio.write_cp(p, CPModel(np.ones(2), [np.ones((3, 2))] * 3)),
+     "rank"),
+    ("m.ttm", lambda p: tio.write_tt(p, random_tt((3, 3, 3), (2, 2), 4)), "ranks"),
+    ("m.tkm", lambda p: tio.write_tucker(p, hosvd(rt((3, 3), 5))), "dims"),
+], ids=["cpm-rank", "ttm-ranks", "tkm-dims"])
+def test_missing_header_key_names_file_and_key(tmp_path, name, write, key):
+    path = tmp_path / name
+    write(path)
+    drop_header_key(path, key)
+    with pytest.raises(tio.ContainerError, match=f"{name}.*'{key}'"):
+        tio.read_model(path)
 
 
 def test_cp_roundtrip(tmp_path):

@@ -250,6 +250,40 @@ def test_tt_mals_separable_stays_rank_one():
     assert m.meta["residual_history"][-1] <= 1e-10
 
 
+def test_tt_mals_per_bond_caps_not_palindromic():
+    rng = np.random.default_rng(40)
+    t = DenseTensor.from_array(rng.standard_normal((4,) * 5))
+    caps = (1, 3, 2, 3)
+    for sweeps in (1, 2):  # both end on a right-to-left (mirrored) half
+        m = tt_mals(t, eps=1e-6, max_sweeps=sweeps, seed=0, max_ranks=caps)
+        assert len(m.meta["residual_history"]) == 2 * sweeps
+        assert m.ranks == caps
+
+
+@pytest.mark.parametrize("fit, halves", [
+    (lambda t: tt_als(t, (2, 3, 2), seed=0), 3),  # stalls after an l-to-r half
+    (lambda t: tt_als(t, (2, 3, 2), max_sweeps=2, tol=0.0, seed=1), 4),
+    (lambda t: tt_mals(t, eps=1e-8, seed=0), 1),
+    (lambda t: tt_mals(t, eps=1e-8, max_sweeps=1, seed=1, max_ranks=1), 2),
+], ids=["als-stall", "als-full-sweeps", "mals-eps", "mals-full-sweep"])
+def test_sweeps_declare_a_valid_ortho_center(fit, halves):
+    t = fixture_tensor(seed=19, dims=(5, 5, 5, 5), ranks=(2, 3, 2))
+    m = fit(t)
+    assert len(m.meta["residual_history"]) == halves
+    assert m.ortho_center == (t.order if halves % 2 else 1)
+    assert m.verify_orthogonality()
+
+
+def test_zero_sweeps_return_the_orthogonalized_start():
+    t = fixture_tensor(seed=19, dims=(5, 5, 5, 5), ranks=(2, 3, 2))
+    for m, ranks in ((tt_als(t, (2, 3, 2), max_sweeps=0, seed=0), (2, 3, 2)),
+                     (tt_mals(t, eps=1e-8, max_sweeps=0, seed=0), (1, 1, 1))):
+        assert m.meta["residual_history"] == []
+        assert m.ranks == ranks
+        assert m.ortho_center == 1
+        assert m.verify_orthogonality()
+
+
 def test_tt_mals_looser_eps_never_needs_larger_ranks():
     rng = np.random.default_rng(25)
     t = DenseTensor.from_array(rng.standard_normal((5, 5, 5)))
