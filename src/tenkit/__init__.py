@@ -31,6 +31,6 @@ from .quantize import (QuantizationScheme, detensorize, factorize_dim,
                        qtt_compress, qtt_decompress, storage_complexity,
                        tensorize)
 from .blockmodels import (HOPTANode, KTDModel, hopta_reconstruct,
-                          ktd_reconstruct, model_storage)
+                          ktd_reconstruct, model_storage, reconstruct)
 
 __version__ = "0.1.0"

@@ -4,14 +4,17 @@ reconstruction and storage accounting (no fitting)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
-from .cpd import CPModel
+from .cpd import CPModel, cp_reconstruct
 from .cur import FSTDModel
-from .dense import DenseTensor
+from .dense import DenseTensor, _sum_tensors
 from .ops import kron_tensor, outer_product
-from .tucker import TuckerModel
-from .ttrain import TTMatrixModel, TTModel
+from .quantize import QuantizationScheme, qtt_decompress
+from .tucker import TuckerModel, tucker_reconstruct
+from .ttrain import DENSE_CAP, TTMatrixModel, TTModel, tt_reconstruct, \
+    ttm_reconstruct
 
 
 def _kron_dims(a: DenseTensor, b: DenseTensor) -> tuple[int, ...]:
@@ -48,12 +51,7 @@ class KTDModel:
 
 def ktd_reconstruct(m: KTDModel) -> DenseTensor:
     """Dense sum of per-term tensor Kronecker products."""
-    out = None
-    for a, b in m.terms:
-        piece = kron_tensor(a, b)
-        out = piece if out is None else DenseTensor(out.dims,
-                                                    out.data + piece.data)
-    return out
+    return _sum_tensors(kron_tensor(a, b) for a, b in m.terms)
 
 
 class HOPTANode:
@@ -111,14 +109,8 @@ def hopta_reconstruct(node: HOPTANode) -> DenseTensor:
     its terms of the outer products of the children's reconstructions."""
     if node.tensor is not None:
         return node.tensor
-    out = None
-    for term in node.terms:
-        piece = hopta_reconstruct(term[0])
-        for child in term[1:]:
-            piece = outer_product(piece, hopta_reconstruct(child))
-        out = piece if out is None else DenseTensor(out.dims,
-                                                    out.data + piece.data)
-    return out
+    return _sum_tensors(reduce(outer_product, map(hopta_reconstruct, term))
+                        for term in node.terms)
 
 
 def model_storage(m) -> int:
@@ -129,3 +121,25 @@ def model_storage(m) -> int:
     if isinstance(m, DenseTensor):
         return m.size
     raise TypeError(f"no storage accounting for {type(m).__name__}")
+
+
+def reconstruct(m, scheme: QuantizationScheme | None = None,
+                cap: int = DENSE_CAP) -> DenseTensor:
+    """Dense tensor a CP, Tucker, FSTD, TT/MPS, TT/MPO or HOPTA model stands
+    for; ``scheme`` marks a TT model as QTT, and ``cap`` bounds the scalars a
+    tensor train may densify into."""
+    if scheme is not None:
+        return qtt_decompress(m, scheme, cap=cap)
+    if isinstance(m, TTModel):
+        return tt_reconstruct(m, cap=cap)
+    if isinstance(m, TTMatrixModel):
+        return ttm_reconstruct(m, cap=cap)
+    if isinstance(m, CPModel):
+        return cp_reconstruct(m)
+    if isinstance(m, TuckerModel):
+        return tucker_reconstruct(m)
+    if isinstance(m, FSTDModel):
+        return m.reconstruct()
+    if isinstance(m, HOPTANode):
+        return hopta_reconstruct(m)
+    raise TypeError(f"no reconstruction for {type(m).__name__}")

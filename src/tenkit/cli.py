@@ -15,16 +15,14 @@ from math import prod
 import numpy as np
 
 from . import io as tio
-from .blockmodels import hopta_reconstruct, model_storage
-from .cpd import CPModel, cp_als, cp_reconstruct
-from .cur import fstd
+from .blockmodels import model_storage, reconstruct
+from .cpd import CPModel, cp_als
+from .cur import FSTDModel, fstd
 from .dense import DenseTensor, frobenius_norm
-from .quantize import QuantizationScheme, qtt_compress, qtt_decompress, \
-    storage_complexity
+from .quantize import QuantizationScheme, qtt_compress, storage_complexity
 from .tucker import assemble_blocks, core_blockwise, hosvd, \
-    partition_matrix_blocks, partition_tensor, tucker_reconstruct, TuckerModel
-from .ttrain import TTMatrixModel, TTModel, tt_reconstruct, tt_round, tt_svd, \
-    ttm_reconstruct, ttm_svd
+    partition_matrix_blocks, partition_tensor, TuckerModel
+from .ttrain import TTMatrixModel, TTModel, tt_round, tt_svd, ttm_svd
 
 BENCH_HEADER = ["format", "N", "I", "R", "exact_params", "asymptotic",
                 "rel_error", "seconds"]
@@ -56,20 +54,16 @@ def _seconds(elapsed: float, deterministic: bool) -> str:
     return "0.000" if deterministic else f"{elapsed:.3f}"
 
 
-def _report(fmt: str, dims, ranks, params: int, rel_error: float,
-            seconds: str) -> None:
-    dims_s = ",".join(str(d) for d in dims)
-    ranks_s = ",".join(str(r) for r in ranks)
-    print(f"format={fmt} dims={dims_s} ranks={ranks_s} params={params} "
-          f"rel_error={rel_error!r} seconds={seconds}")
+def _join(values) -> str:
+    return ",".join(str(v) for v in values)
 
 
 def _decompose_tucker(t: DenseTensor, ranks, eps, blocks):
-    if blocks is None:
-        return hosvd(t, ranks=ranks, eps=eps)
-    if len(blocks) != t.order:
+    if blocks is not None and len(blocks) != t.order:
         raise JobSpecError(f"--blocks needs {t.order} entries")
     model = hosvd(t, ranks=ranks, eps=eps)
+    if blocks is None:
+        return model
     # recompute the core block-wise over the requested grid
     grid = partition_tensor(t, blocks)
     for n in range(1, t.order + 1):
@@ -95,7 +89,7 @@ def cmd_decompose(args) -> int:
     blocks = _int_list(args.blocks) if args.blocks is not None else None
     started = time.perf_counter()
     fmt = args.format
-    failure = None
+    failure = scheme = None
 
     if fmt == "cpd":
         if ranks is None or len(ranks) != 1:
@@ -103,9 +97,6 @@ def cmd_decompose(args) -> int:
         model, diag = cp_als(t, ranks[0], max_iters=args.max_iters,
                              tol=args.tol, seed=args.seed,
                              n_starts=args.n_starts)
-        rec = cp_reconstruct(model)
-        out_ranks = [model.rank]
-        tio.write_cp(args.output, model)
         if not diag.converged:
             failure = (f"cpd ALS did not converge within {args.max_iters} "
                        f"sweeps (final fit {diag.fit_history[-1]:.6f})")
@@ -113,67 +104,46 @@ def cmd_decompose(args) -> int:
         if ranks is not None and len(ranks) != t.order:
             raise JobSpecError(f"tucker needs {t.order} ranks")
         model = _decompose_tucker(t, ranks, args.eps, blocks)
-        rec = tucker_reconstruct(model)
-        out_ranks = list(model.ranks)
-        tio.write_tucker(args.output, model)
     elif fmt == "fstd":
         if ranks is None:
             raise JobSpecError("fstd takes --rank with per-mode fiber counts")
         if len(ranks) != t.order:
             raise JobSpecError(f"fstd needs {t.order} fiber counts")
         model = fstd(t, counts=ranks)
-        rec = model.reconstruct()
-        out_ranks = [len(ix) for ix in model.indices]
-        tio.write_fstd(args.output, model)
-        model = model.tucker
     elif fmt == "tt":
         caps = None
         if ranks is not None:
             caps = ranks[0] if len(ranks) == 1 else ranks
         model = tt_svd(t, eps=args.eps, max_ranks=caps)
-        rec = tt_reconstruct(model)
-        out_ranks = list(model.ranks)
-        tio.write_tt(args.output, model)
     elif fmt == "qtt":
         if args.eps is None:
             raise JobSpecError("qtt requires --eps")
         model, scheme = qtt_compress(t, q=args.q, eps=args.eps)
-        rec = qtt_decompress(model, scheme)
-        out_ranks = list(model.ranks)
-        tio.write_tt(args.output, model, scheme=scheme)
     else:
         raise JobSpecError(f"unknown format {fmt!r}")
 
+    rec = reconstruct(model, scheme)
+    tio.write_model(args.output, model, scheme)
     elapsed = time.perf_counter() - started
-    _report(fmt, t.dims, out_ranks, model_storage(model),
-            _rel_error(t, rec), _seconds(elapsed, args.deterministic))
+    # FSTD is stored and reported as its Tucker form
+    stored = model.tucker if isinstance(model, FSTDModel) else model
+    out_ranks = [stored.rank] if isinstance(stored, CPModel) else stored.ranks
+    print(f"format={fmt} dims={_join(t.dims)} ranks={_join(out_ranks)} "
+          f"params={model_storage(stored)} rel_error={_rel_error(t, rec)!r} "
+          f"seconds={_seconds(elapsed, args.deterministic)}")
     if failure is not None:
         print(f"numerical failure: {failure}", file=sys.stderr)
         return 3
     return 0
 
 
-def _reconstruct_model(path, cap):
-    kind = tio.sniff(path)
-    if kind == "dten":
-        raise JobSpecError(f"{path} is a dense tensor, not a model container")
-    if kind == "cpm":
-        return cp_reconstruct(tio.read_cp(path))
-    if kind == "tkm":
-        return tucker_reconstruct(tio.read_tucker(path))
-    if kind == "hop":
-        return hopta_reconstruct(tio.read_hopta(path))
-    model, scheme = tio.read_tt(path)
-    if scheme is not None:
-        return qtt_decompress(model, scheme, cap=cap)
-    if isinstance(model, TTMatrixModel):
-        return ttm_reconstruct(model, cap=cap)
-    return tt_reconstruct(model, cap=cap)
-
-
 def cmd_reconstruct(args) -> int:
     _check_distinct(args.model, args.output, args.against)
-    rec = _reconstruct_model(args.model, args.cap)
+    model, scheme = tio.read_model(args.model)
+    if isinstance(model, DenseTensor):
+        raise JobSpecError(f"{args.model} is a dense tensor, not a model "
+                           f"container")
+    rec = reconstruct(model, scheme, cap=args.cap)
     tio.write_dense(args.output, rec)
     if args.against is not None:
         orig = tio.read_dense(args.against)
@@ -186,19 +156,16 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_round(args) -> int:
     _check_distinct(args.model, args.output)
-    kind = tio.sniff(args.model)
-    if kind != "ttm":
-        raise JobSpecError(f"{args.model} is not a tensor-train container")
-    model, scheme = tio.read_tt(args.model)
+    model, scheme = tio.read_model(args.model)
     if not isinstance(model, TTModel):
-        raise JobSpecError("rounding is defined for TT/MPS models only")
+        raise JobSpecError(f"{args.model}: rounding is defined for TT/MPS "
+                           f"models only")
     started = time.perf_counter()
     rounded = tt_round(model, eps=args.eps)
     elapsed = time.perf_counter() - started
-    tio.write_tt(args.output, rounded, scheme=scheme)
-    before = ",".join(str(r) for r in model.ranks)
-    after = ",".join(str(r) for r in rounded.ranks)
-    print(f"ranks_before={before} ranks_after={after} "
+    tio.write_model(args.output, rounded, scheme)
+    print(f"ranks_before={_join(model.ranks)} "
+          f"ranks_after={_join(rounded.ranks)} "
           f"seconds={_seconds(elapsed, args.deterministic)}")
     return 0
 
@@ -219,53 +186,35 @@ def _random_tt(dims, rank, rng) -> TTModel:
 
 
 def _bench_case(fmt: str, n: int, i: int, rank: int, q: int, seed):
+    """Seeded truth tensor of format ``fmt``, and the fit that recovers it as
+    (model, scheme)."""
     rng = np.random.default_rng(seed)
     if fmt == "cpd":
         factors = [rng.standard_normal((i, rank)) for _ in range(n)]
-        truth = CPModel(np.ones(rank), factors)
-        t = cp_reconstruct(truth)
-        started = time.perf_counter()
-        model, _ = cp_als(t, rank, max_iters=300, tol=1e-12, seed=seed,
-                          n_starts=3)
-        elapsed = time.perf_counter() - started
-        rec = cp_reconstruct(model)
-    elif fmt == "tucker":
+        t = reconstruct(CPModel(np.ones(rank), factors))
+        return t, lambda: (cp_als(t, rank, max_iters=300, tol=1e-12,
+                                  seed=seed, n_starts=3)[0], None)
+    if fmt == "tucker":
         core = DenseTensor.from_array(rng.standard_normal((rank,) * n))
         factors = [np.linalg.qr(rng.standard_normal((i, rank)))[0]
                    for _ in range(n)]
-        t = tucker_reconstruct(TuckerModel(core, factors))
-        started = time.perf_counter()
-        model = hosvd(t, ranks=(rank,) * n)
-        elapsed = time.perf_counter() - started
-        rec = tucker_reconstruct(model)
-    elif fmt == "tt":
-        t = tt_reconstruct(_random_tt((i,) * n, rank, rng))
-        started = time.perf_counter()
-        model = tt_svd(t, eps=1e-12)
-        elapsed = time.perf_counter() - started
-        rec = tt_reconstruct(model)
-    elif fmt == "ttm":
+        t = reconstruct(TuckerModel(core, factors))
+        return t, lambda: (hosvd(t, ranks=(rank,) * n), None)
+    if fmt == "tt":
+        t = reconstruct(_random_tt((i,) * n, rank, rng))
+        return t, lambda: (tt_svd(t, eps=1e-12), None)
+    if fmt == "ttm":
         chain = [1] + _clip_chain(rank, (i * i,) * n) + [1]
         cores = [rng.standard_normal((chain[k], i, i, chain[k + 1]))
                  for k in range(n)]
-        truth = TTMatrixModel(cores)
-        t = ttm_reconstruct(truth)
-        started = time.perf_counter()
-        model = ttm_svd(t, eps=1e-12)
-        elapsed = time.perf_counter() - started
-        rec = ttm_reconstruct(model)
-    elif fmt == "qtt":
-        scheme = QuantizationScheme.uniform((i,) * n, q)
-        virtual = scheme.virtual_dims
-        flat = tt_reconstruct(_random_tt(virtual, rank, rng))
+        t = reconstruct(TTMatrixModel(cores))
+        return t, lambda: (ttm_svd(t, eps=1e-12), None)
+    if fmt == "qtt":
+        virtual = QuantizationScheme.uniform((i,) * n, q).virtual_dims
+        flat = reconstruct(_random_tt(virtual, rank, rng))
         t = DenseTensor((i,) * n, flat.data)
-        started = time.perf_counter()
-        model, scheme = qtt_compress(t, q=q, eps=1e-12)
-        elapsed = time.perf_counter() - started
-        rec = qtt_decompress(model, scheme)
-    else:
-        raise JobSpecError(f"unknown bench format {fmt!r}")
-    return model, _rel_error(t, rec), elapsed
+        return t, lambda: qtt_compress(t, q=q, eps=1e-12)
+    raise JobSpecError(f"unknown bench format {fmt!r}")
 
 
 def cmd_bench(args) -> int:
@@ -276,7 +225,11 @@ def cmd_bench(args) -> int:
     rank = int(args.rank) if args.rank is not None else 2
     rows = []
     for fmt in ("cpd", "tucker", "tt", "ttm", "qtt"):
-        model, err, elapsed = _bench_case(fmt, n, i, rank, args.q, args.seed)
+        t, fit = _bench_case(fmt, n, i, rank, args.q, args.seed)
+        started = time.perf_counter()
+        model, scheme = fit()
+        elapsed = time.perf_counter() - started
+        err = _rel_error(t, reconstruct(model, scheme))
         rows.append([fmt, n, i, rank, model_storage(model),
                      storage_complexity(fmt, n, i, rank, args.q),
                      repr(err), _seconds(elapsed, args.deterministic)])
@@ -292,46 +245,32 @@ def cmd_bench(args) -> int:
 
 
 def cmd_info(args) -> int:
-    kind = tio.sniff(args.path)
-    if kind == "dten":
-        t = tio.read_dense(args.path)
-        print(f"type=dten order={t.order} "
-              f"dims={','.join(str(d) for d in t.dims)} "
-              f"norm={frobenius_norm(t)!r}")
+    obj, _ = tio.read_model(args.path)
+    if isinstance(obj, DenseTensor):
+        print(f"type=dten order={obj.order} dims={_join(obj.dims)} "
+              f"norm={frobenius_norm(obj)!r}")
         return 0
-    model = tio.read_model(args.path)
-    if kind == "cpm":
-        print(f"type=cpm dims={','.join(str(d) for d in model.dims)} "
-              f"rank={model.rank} params={model_storage(model)}")
-    elif kind == "tkm":
-        print(f"type=tkm dims={','.join(str(d) for d in model.dims)} "
-              f"ranks={','.join(str(r) for r in model.ranks)} "
-              f"params={model_storage(model)}")
-    elif kind == "ttm":
-        if isinstance(model, TTMatrixModel):
-            dims = ",".join(f"{a}x{b}" for a, b in
-                            zip(model.row_dims, model.col_dims))
-            print(f"type=ttm kind=mpo dims={dims} "
-                  f"ranks={','.join(str(r) for r in model.ranks)} "
-                  f"params={model_storage(model)}")
-        else:
-            print(f"type=ttm kind=mps "
-                  f"dims={','.join(str(d) for d in model.dims)} "
-                  f"ranks={','.join(str(r) for r in model.ranks)} "
-                  f"params={model_storage(model)}")
+    if isinstance(obj, CPModel):
+        line = f"type=cpm dims={_join(obj.dims)} rank={obj.rank}"
+    elif isinstance(obj, TuckerModel):
+        line = f"type=tkm dims={_join(obj.dims)} ranks={_join(obj.ranks)}"
+    elif isinstance(obj, TTMatrixModel):
+        dims = _join(f"{a}x{b}" for a, b in zip(obj.row_dims, obj.col_dims))
+        line = f"type=ttm kind=mpo dims={dims} ranks={_join(obj.ranks)}"
+    elif isinstance(obj, TTModel):
+        line = f"type=ttm kind=mps dims={_join(obj.dims)} " \
+               f"ranks={_join(obj.ranks)}"
     else:
-        print(f"type=hop dims={','.join(str(d) for d in model.dims)} "
-              f"params={model_storage(model)}")
+        line = f"type=hop dims={_join(obj.dims)}"
+    print(f"{line} params={model_storage(obj)}")
     return 0
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--deterministic", action="store_true",
-                   help="fix reduction order and suppress wall-clock output "
-                        "for bit-reproducible runs")
-    p.add_argument("--threads", type=int, default=1,
-                   help="cap on worker threads (execution never exceeds it)")
+                   help="print wall-clock seconds as 0.000, so that seeded "
+                        "reruns print byte-identical output")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,8 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None and args.threads < 1:
-        parser.error("--threads must be >= 1")
     try:
         return args.func(args)
     except (FileNotFoundError, IsADirectoryError, PermissionError,

@@ -9,9 +9,8 @@ import numpy as np
 
 from .dense import DenseTensor, fiber, unfold
 from .ops import mode_n_matrix_product
-from .tucker import TuckerModel, tucker_reconstruct
+from .tucker import _PINV_RCOND, TuckerModel, tucker_reconstruct
 
-_PINV_RCOND = 1e-12
 _ZERO_RTOL = 1e-13
 
 
@@ -286,10 +285,10 @@ def fstd(t: DenseTensor, counts: Sequence[int] | None = None,
         sel = select_fibers_maxmod(t, counts, complete=True)
         indices = sel.indices
         early = sel.early_stop
+    if len(indices) != t.order:
+        raise ValueError(f"expected {t.order} index lists")
     idx0 = [_check_index_list(ix, t.dims[n], f"mode {n + 1}")
             for n, ix in enumerate(indices)]
-    if len(idx0) != t.order:
-        raise ValueError(f"expected {t.order} index lists")
 
     arr = t.to_array()
     w = DenseTensor.from_array(arr[np.ix_(*idx0)])

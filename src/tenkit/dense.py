@@ -12,8 +12,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import prod
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -81,6 +82,12 @@ class DenseTensor:
 
     def __repr__(self) -> str:
         return f"DenseTensor(dims={self.dims})"
+
+
+def _sum_tensors(pieces: Iterable[DenseTensor]) -> DenseTensor:
+    """Entrywise sum of equal-dims tensors, added left to right."""
+    return reduce(lambda a, b: DenseTensor(a.dims, a.data + b.data, copy=False),
+                  pieces)
 
 
 def check_multi_index(idx: Sequence[int], dims: Sequence[int]) -> None:
@@ -156,11 +163,6 @@ class UnfoldingSpec:
             raise ValueError(
                 f"row modes {self.row_modes} and column modes {self.col_modes} "
                 f"must partition 1..{order} without overlap")
-
-
-def _mode_n_spec(n: int, order: int) -> UnfoldingSpec:
-    rest = tuple(k for k in range(1, order + 1) if k != n)
-    return UnfoldingSpec((n,), rest, LITTLE_ENDIAN)
 
 
 def unfold(t: DenseTensor, n: int) -> np.ndarray:

@@ -8,6 +8,7 @@ are stored in the canonical first-index-fastest (column-major) order.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from math import prod
@@ -69,11 +70,42 @@ def _read(path, magic: bytes) -> tuple[dict, np.ndarray]:
     return header, payload
 
 
-def _field(path, header: dict, key: str):
-    """Required header entry; a missing one makes the container malformed."""
+def _is_count(v) -> bool:
+    return type(v) is int and v >= 0
+
+
+def _is_counts(v) -> bool:
+    return type(v) is list and all(map(_is_count, v))
+
+
+def _is_count_lists(v) -> bool:
+    return type(v) is list and all(map(_is_counts, v))
+
+
+def _field(path, header: dict, key: str, valid=None):
+    """Required header entry; a missing one, or a value that ``valid``
+    rejects, makes the container malformed."""
+    if type(header) is not dict:
+        raise ContainerError(f"{path}: expected a JSON object with {key!r}")
     if key not in header:
         raise ContainerError(f"{path}: header lacks required key {key!r}")
+    if valid is not None and not valid(header[key]):
+        raise ContainerError(f"{path}: header key {key!r} has an invalid "
+                             f"value {header[key]!r:.40}")
     return header[key]
+
+
+def _container_reader(read):
+    """Report a header the model constructors reject as a malformed file."""
+    @functools.wraps(read)
+    def checked(path):
+        try:
+            return read(path)
+        except ContainerError:
+            raise
+        except (ValueError, OverflowError) as exc:
+            raise ContainerError(f"{path}: inconsistent header: {exc}") from exc
+    return checked
 
 
 class _PayloadReader:
@@ -103,13 +135,14 @@ def write_dense(path, t: DenseTensor) -> None:
     _write(path, MAGIC_DTEN, header, [t.data])
 
 
+@_container_reader
 def read_dense(path) -> DenseTensor:
     header, payload = _read(path, MAGIC_DTEN)
     if header.get("scalar") != "f64" or \
             header.get("convention") != "little-endian":
         raise ContainerError(f"{path}: unsupported scalar type or convention")
-    dims = tuple(int(d) for d in _field(path, header, "dims"))
-    if int(header.get("order", len(dims))) != len(dims):
+    dims = _field(path, header, "dims", _is_counts)
+    if header.get("order", len(dims)) != len(dims):
         raise ContainerError(f"{path}: order/dims mismatch in header")
     if payload.size != prod(dims):
         raise ContainerError(f"{path}: payload has {payload.size} scalars, "
@@ -123,11 +156,14 @@ def write_cp(path, m: CPModel) -> None:
     _write(path, MAGIC_CPM, header, m.factors)
 
 
+@_container_reader
 def read_cp(path) -> CPModel:
     header, payload = _read(path, MAGIC_CPM)
-    rank = int(_field(path, header, "rank"))
-    dims = [int(d) for d in _field(path, header, "dims")]
-    weights = np.array(_field(path, header, "weights"), dtype=np.float64)
+    rank = _field(path, header, "rank", _is_count)
+    dims = _field(path, header, "dims", _is_counts)
+    weights = np.array(_field(path, header, "weights", lambda v: type(v) is list
+                              and all(type(w) in (int, float) for w in v)),
+                       dtype=np.float64)
     reader = _PayloadReader(path, payload)
     factors = [reader.take((d, rank)) for d in dims]
     reader.finish()
@@ -141,17 +177,21 @@ def write_tucker(path, m: TuckerModel) -> None:
     _write(path, MAGIC_TKM, header, payloads)
 
 
+@_container_reader
 def read_tucker(path) -> TuckerModel:
     header, payload = _read(path, MAGIC_TKM)
-    dims = [int(d) for d in _field(path, header, "dims")]
-    ranks = [int(r) for r in _field(path, header, "ranks")]
-    identity = set(int(n) for n in header.get("identity_modes", []))
+    dims = _field(path, header, "dims", _is_counts)
+    ranks = _field(path, header, "ranks", _is_counts)
+    identity = _field(path, header, "identity_modes", _is_counts)
     reader = _PayloadReader(path, payload)
     core = DenseTensor(ranks, reader.take((prod(ranks),)))
-    factors = [None if n in identity else reader.take((dims[n - 1], ranks[n - 1]))
-               for n in range(1, len(dims) + 1)]
+    factors = [None if n in identity else reader.take((d, r))
+               for n, (d, r) in enumerate(zip(dims, ranks), start=1)]
     reader.finish()
-    return TuckerModel(core, factors)
+    model = TuckerModel(core, factors)
+    if list(model.dims) != dims:
+        raise ContainerError(f"{path}: header dims do not match the model's")
+    return model
 
 
 def write_tt(path, m: TTModel | TTMatrixModel,
@@ -170,6 +210,7 @@ def write_tt(path, m: TTModel | TTMatrixModel,
     _write(path, MAGIC_TTM, header, m.cores)
 
 
+@_container_reader
 def read_tt(path):
     """Read a .ttm container.
 
@@ -178,34 +219,33 @@ def read_tt(path):
     """
     header, payload = _read(path, MAGIC_TTM)
     kind = header.get("kind")
+    if kind not in ("mps", "mpo"):
+        raise ContainerError(f"{path}: unknown tensor-train kind {kind!r}")
+    keys = ("row_dims", "col_dims") if kind == "mpo" else ("dims",)
+    site_dims = [_field(path, header, key, _is_counts) for key in keys]
+    chain = [1] + _field(path, header, "ranks", _is_counts) + [1]
+    if any(len(dims) != len(chain) - 1 for dims in site_dims):
+        raise ContainerError(f"{path}: header dims and ranks disagree")
     reader = _PayloadReader(path, payload)
+    cores = [reader.take((chain[n], *(dims[n] for dims in site_dims),
+                          chain[n + 1])) for n in range(len(chain) - 1)]
+    reader.finish()
+    if kind == "mpo":
+        model = TTMatrixModel(cores, _field(path, header, "pairing",
+                                            _is_count_lists))
+    else:
+        model = TTModel(cores, _field(path, header, "canonical",
+                                      lambda v: v is None or _is_count(v)))
     scheme = None
     quant = header.get("quantization")
     if quant:
-        for key in ("dims", "mode_factors"):
-            _field(path, quant, key)
+        _field(path, quant, "dims", _is_counts)
+        _field(path, quant, "mode_factors", _is_count_lists)
         scheme = QuantizationScheme.from_dict(quant)
-    ranks = [int(r) for r in _field(path, header, "ranks")]
-    if kind == "mps":
-        dims = [int(d) for d in _field(path, header, "dims")]
-        chain = [1] + ranks + [1]
-        cores = [reader.take((chain[n], dims[n], chain[n + 1]))
-                 for n in range(len(dims))]
-        reader.finish()
-        center = header.get("canonical")
-        model = TTModel(cores, None if center is None else int(center))
-        return model, scheme
-    if kind == "mpo":
-        rows = [int(d) for d in _field(path, header, "row_dims")]
-        cols = [int(d) for d in _field(path, header, "col_dims")]
-        pairing = [tuple(int(x) for x in p)
-                   for p in _field(path, header, "pairing")]
-        chain = [1] + ranks + [1]
-        cores = [reader.take((chain[n], rows[n], cols[n], chain[n + 1]))
-                 for n in range(len(rows))]
-        reader.finish()
-        return TTMatrixModel(cores, pairing), scheme
-    raise ContainerError(f"{path}: unknown tensor-train kind {kind!r}")
+        if kind == "mpo" or model.dims != scheme.virtual_dims:
+            raise ContainerError(f"{path}: quantization does not match the "
+                                 f"cores")
+    return model, scheme
 
 
 def _hopta_manifest(node: HOPTANode, leaves: list) -> dict:
@@ -226,15 +266,17 @@ def write_hopta(path, root: HOPTANode) -> None:
 def _hopta_build(tree: dict, reader: _PayloadReader) -> HOPTANode:
     kind = _field(reader.path, tree, "kind")
     if kind == "leaf":
-        dims = tuple(int(d) for d in _field(reader.path, tree, "dims"))
+        dims = _field(reader.path, tree, "dims", _is_counts)
         return HOPTANode.leaf(DenseTensor(dims, reader.take((prod(dims),))))
     if kind == "sum":
         return HOPTANode.sum_of_outer(
             [[_hopta_build(child, reader) for child in term]
-             for term in _field(reader.path, tree, "terms")])
+             for term in _field(reader.path, tree, "terms", lambda v: type(v)
+                                is list and all(type(t) is list for t in v))])
     raise ContainerError(f"{reader.path}: unknown HOPTA node kind {kind!r}")
 
 
+@_container_reader
 def read_hopta(path) -> HOPTANode:
     header, payload = _read(path, MAGIC_HOP)
     reader = _PayloadReader(path, payload)
@@ -265,16 +307,30 @@ def sniff(path) -> str:
 
 
 def read_model(path):
-    """Read any model container by magic; returns the model object."""
+    """Read any container by its magic.
+
+    Returns (obj, scheme): obj is a DenseTensor or a model, and scheme is the
+    stored QuantizationScheme of a QTT .ttm and None for anything else.
+    """
     kind = sniff(path)
-    if kind == "dten":
-        return read_dense(path)
-    if kind == "cpm":
-        return read_cp(path)
-    if kind == "tkm":
-        return read_tucker(path)
     if kind == "ttm":
-        return read_tt(path)[0]
-    if kind == "hop":
-        return read_hopta(path)
-    raise ContainerError(f"{path}: unsupported container {kind}")
+        return read_tt(path)
+    read = {"dten": read_dense, "cpm": read_cp, "tkm": read_tucker,
+            "hop": read_hopta}[kind]
+    return read(path), None
+
+
+def write_model(path, m, scheme: QuantizationScheme | None = None) -> None:
+    """Write a DenseTensor or any model to the container for its type; an
+    FSTD model also gets its .indices.json sidecar, and ``scheme`` marks a
+    tensor train as QTT."""
+    if isinstance(m, (TTModel, TTMatrixModel)):
+        return write_tt(path, m, scheme=scheme)
+    if scheme is not None:
+        raise TypeError("a quantization scheme applies to tensor trains only")
+    for cls, write in ((DenseTensor, write_dense), (CPModel, write_cp),
+                       (TuckerModel, write_tucker), (FSTDModel, write_fstd),
+                       (HOPTANode, write_hopta)):
+        if isinstance(m, cls):
+            return write(path, m)
+    raise TypeError(f"no container for {type(m).__name__}")

@@ -111,12 +111,9 @@ class TTMatrixModel:
                 raise ValueError(f"rank mismatch between cores {n + 1} and "
                                  f"{n + 2}")
         if pairing is None:
-            pairing = [(2 * n + 1, 2 * n + 2) for n in range(len(cores))]
-        pairing = [tuple(p) for p in pairing]
-        if len(pairing) != len(cores):
-            raise ValueError("pairing length must match the core count")
+            pairing = _default_pairing(2 * len(cores))
         self.cores = cores
-        self.pairing = pairing
+        self.pairing = _check_pairing(pairing, 2 * len(cores))
         self.meta = meta or {}
 
     @property
@@ -235,6 +232,17 @@ def tt_svd(t: DenseTensor, eps: float | None = None,
                    meta={"active_bounds": bounds})
 
 
+def _check_pairing(pairing, order: int) -> list[tuple[int, int]]:
+    """``pairing`` as a list of tuples; it must split modes 1..order into
+    disjoint (row, col) pairs."""
+    pairing = [tuple(int(m) for m in p) for p in pairing]
+    if any(len(p) != 2 for p in pairing) or \
+            sorted(m for p in pairing for m in p) != list(range(1, order + 1)):
+        raise ValueError(f"pairing {pairing} must split modes 1..{order} "
+                         f"into disjoint (row, col) pairs")
+    return pairing
+
+
 def _default_pairing(order: int) -> list[tuple[int, int]]:
     if order % 2:
         raise ValueError("odd tensor order: give an explicit mode pairing")
@@ -247,13 +255,8 @@ def ttm_svd(t: DenseTensor, pairing: Sequence[tuple[int, int]] | None = None,
     run :func:`tt_svd` on the fused pairs, split each fused mode back."""
     if pairing is None:
         pairing = _default_pairing(t.order)
-    pairing = [tuple(int(m) for m in p) for p in pairing]
-    flat = [m for p in pairing for m in p]
-    if any(len(p) != 2 for p in pairing) or sorted(flat) != \
-            list(range(1, t.order + 1)):
-        raise ValueError(f"pairing {pairing} must split modes 1..{t.order} "
-                         f"into disjoint (row, col) pairs")
-    perm = [m - 1 for m in flat]
+    pairing = _check_pairing(pairing, t.order)
+    perm = [m - 1 for p in pairing for m in p]
     arr = t.to_array().transpose(perm)
     fused_dims = [arr.shape[2 * n] * arr.shape[2 * n + 1]
                   for n in range(len(pairing))]

@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dense import DenseTensor, frobenius_norm, unfold
+from .dense import DenseTensor, _sum_tensors, frobenius_norm, unfold
 from .ops import mode_n_matrix_product, multilinear_product
 from .ttrain import _truncation_rank
 
@@ -317,15 +317,9 @@ def core_blockwise(x_blocks: np.ndarray, ut_blocks: Sequence[Sequence[np.ndarray
     out = np.empty(tuple(out_shape), dtype=object)
     for idx in np.ndindex(*out_shape):
         q = idx[n - 1]
-        acc = None
-        for k in ks:
-            src = list(idx)
-            src[n - 1] = k
-            piece = mode_n_matrix_product(x_blocks[tuple(src)],
-                                          ut_blocks[k][q], n)
-            acc = piece if acc is None else DenseTensor(acc.dims,
-                                                        acc.data + piece.data)
-        out[idx] = acc
+        out[idx] = _sum_tensors(
+            mode_n_matrix_product(x_blocks[idx[:n - 1] + (k,) + idx[n:]],
+                                  ut_blocks[k][q], n) for k in ks)
     return out
 
 
@@ -342,23 +336,17 @@ def hosvd_from_subtensors(t: DenseTensor, counts: Sequence[int] | None = None,
     With ``counts`` the index sets come from the max-modulus fiber selection
     heuristic.
     """
-    from .cur import select_fibers_maxmod
+    from .cur import _check_index_list, select_fibers_maxmod
 
     if (counts is None) == (indices is None):
         raise ValueError("give exactly one of counts or indices")
     if counts is not None:
         sel = select_fibers_maxmod(t, counts, complete=True)
         indices = sel.indices
-    idx0 = [np.asarray(ix, dtype=int) - 1 for ix in indices]
-    if len(idx0) != t.order:
+    if len(indices) != t.order:
         raise ValueError(f"expected {t.order} index lists")
-    for n, ix in enumerate(idx0, start=1):
-        if ix.size < 1:
-            raise ValueError(f"mode {n} selection is empty")
-        if len(set(ix.tolist())) != ix.size:
-            raise ValueError(f"duplicate indices in mode {n}")
-        if ix.min() < 0 or ix.max() >= t.dims[n - 1]:
-            raise IndexError(f"mode {n} selection out of range")
+    idx0 = [_check_index_list(ix, t.dims[n], f"mode {n + 1}")
+            for n, ix in enumerate(indices)]
 
     arr = t.to_array()
     w = arr[np.ix_(*idx0)]

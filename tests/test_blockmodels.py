@@ -5,11 +5,17 @@ import itertools
 import numpy as np
 import pytest
 
+from helpers import model_zoo
 from tenkit.blockmodels import (HOPTANode, KTDModel, hopta_reconstruct,
-                                ktd_reconstruct, model_storage)
+                                ktd_reconstruct, model_storage, reconstruct)
 from tenkit.cpd import CPModel, cp_reconstruct
+from tenkit.cur import FSTDModel
 from tenkit.dense import DenseTensor
 from tenkit.ops import outer_product
+from tenkit.quantize import qtt_decompress
+from tenkit.tucker import TuckerModel, tucker_reconstruct
+from tenkit.ttrain import (TTMatrixModel, TTModel, tt_reconstruct,
+                           ttm_reconstruct)
 
 
 def rt(dims, seed):
@@ -158,3 +164,28 @@ def test_model_storage_dispatch():
     with pytest.raises(TypeError):
         model_storage(object())
     assert model_storage(rt((2, 2), 28)) == 4
+
+
+_MODELS = model_zoo()[1:]  # every kind but the dense tensor
+
+
+@pytest.mark.parametrize("name, model, scheme", _MODELS,
+                         ids=[z[0] for z in _MODELS])
+def test_reconstruct_matches_family_function(name, model, scheme):
+    family = {CPModel: cp_reconstruct, TuckerModel: tucker_reconstruct,
+              FSTDModel: lambda m: tucker_reconstruct(m.tucker),
+              TTModel: tt_reconstruct, TTMatrixModel: ttm_reconstruct,
+              HOPTANode: hopta_reconstruct}
+    want = qtt_decompress(model, scheme) if scheme is not None \
+        else family[type(model)](model)
+    got = reconstruct(model, scheme)
+    assert got.dims == want.dims
+    assert np.array_equal(got.data, want.data)
+    if isinstance(model, (TTModel, TTMatrixModel)):
+        with pytest.raises(ValueError, match="cap"):
+            reconstruct(model, scheme, cap=1)
+
+
+def test_reconstruct_rejects_non_models():
+    with pytest.raises(TypeError):
+        reconstruct(object())

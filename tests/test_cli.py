@@ -3,16 +3,20 @@
 import csv
 import io as stdio
 import re
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from helpers import (drop_header_key, geometric_vector, random_tt,
-                     well_conditioned_cp)
+                     set_header_value, well_conditioned_cp)
 from tenkit import io as tio
+from tenkit.blockmodels import HOPTANode
 from tenkit.cli import BENCH_HEADER, main
 from tenkit.cpd import CPModel, cp_reconstruct
 from tenkit.dense import DenseTensor
-from tenkit.ttrain import tt_reconstruct
+from tenkit.tucker import TuckerModel
+from tenkit.ttrain import TTMatrixModel, tt_reconstruct
 
 
 def write_fixture(tmp_path, name, tensor):
@@ -180,7 +184,7 @@ def test_bench_csv_schema_and_params(tmp_path, capsys):
     code, _, _ = run(["bench", "--dims", "4,4,4", "--rank", "2", "--seed",
                       "0", "--deterministic", "--output", out], capsys)
     assert code == 0
-    text = open(out).read()
+    text = Path(out).read_text()
     assert text.splitlines()[0] == ",".join(BENCH_HEADER)
     rows = list(csv.DictReader(stdio.StringIO(text)))
     assert [r["format"] for r in rows] == ["cpd", "tucker", "tt", "ttm", "qtt"]
@@ -201,7 +205,7 @@ def test_bench_tt_params_monotone_in_rank(tmp_path, capsys):
                           "--seed", "0", "--deterministic", "--output", out],
                          capsys)
         assert code == 0
-        rows = list(csv.DictReader(open(out)))
+        rows = list(csv.DictReader(stdio.StringIO(Path(out).read_text())))
         params.append(int(rows[2]["exact_params"]))
     assert params[0] < params[1]
 
@@ -218,7 +222,7 @@ def test_deterministic_bit_reproducible(tmp_path, capsys):
                                "2", "--seed", "9", "--deterministic",
                                "--max-iters", "50", "--output", out], capsys)
         assert code in (0, 3)  # random tensor may hit the sweep cap
-        outputs.append(open(out, "rb").read())
+        outputs.append(Path(out).read_bytes())
         reports.append(stdout)
     assert outputs[0] == outputs[1]
     assert reports[0] == reports[1]
@@ -235,6 +239,34 @@ def test_info_command(tmp_path, capsys):
     code, stdout, _ = run(["info", str(tmp_path / "m.ttm")], capsys)
     assert code == 0
     assert "ranks=2" in stdout
+
+
+@pytest.mark.parametrize("name, write, line", [
+    ("t.dten", lambda p: tio.write_dense(p, DenseTensor((2, 2), np.ones(4))),
+     "type=dten order=2 dims=2,2 norm=2.0"),
+    ("m.cpm", lambda p: tio.write_cp(
+        p, CPModel(np.ones(2), [np.ones((d, 2)) for d in (3, 4, 5)])),
+     "type=cpm dims=3,4,5 rank=2 params=26"),
+    ("m.tkm", lambda p: tio.write_tucker(p, TuckerModel(
+        DenseTensor.from_array(np.ones((2, 3, 1))),
+        [np.ones((4, 2)), None, np.ones((5, 1))])),
+     "type=tkm dims=4,3,5 ranks=2,3,1 params=19"),
+    ("s.ttm", lambda p: tio.write_tt(p, random_tt((3, 4, 5), (2, 3), seed=8)),
+     "type=ttm kind=mps dims=3,4,5 ranks=2,3 params=45"),
+    ("o.ttm", lambda p: tio.write_tt(p, TTMatrixModel(
+        [np.ones((1, 2, 3, 2)), np.ones((2, 4, 1, 1))])),
+     "type=ttm kind=mpo dims=2x3,4x1 ranks=2 params=20"),
+    ("m.hop", lambda p: tio.write_hopta(p, HOPTANode.sum_of_outer(
+        [(HOPTANode.leaf(DenseTensor((2, 2), np.ones(4))),
+          HOPTANode.leaf(DenseTensor((3,), np.ones(3))))])),
+     "type=hop dims=2,2,3 params=7"),
+], ids=["dten", "cpm", "tkm", "mps", "mpo", "hop"])
+def test_info_line_per_container(tmp_path, capsys, name, write, line):
+    path = tmp_path / name
+    write(path)
+    code, stdout, _ = run(["info", str(path)], capsys)
+    assert code == 0
+    assert stdout == line + "\n"
 
 
 def test_reconstruct_rejects_dense_input(tmp_path, capsys):
@@ -278,6 +310,22 @@ def test_model_header_without_rank_exit_1(tmp_path, capsys):
         code, _, err = run(args, capsys)
         assert code == 1
         assert err.startswith("error: ") and "'rank'" in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("rank", "two"), ("dims", 3), ("weights", [1.0, 1.0, 1.0])],
+    ids=["rank-string", "dims-int", "weights-length"])
+def test_malformed_model_header_exit_1(tmp_path, capsys, key, value):
+    model = str(tmp_path / "m.cpm")
+    tio.write_cp(model, CPModel(np.ones(2), [np.ones((3, 2))] * 3))
+    set_header_value(model, key, value)
+    for args in (["info", model],
+                 ["reconstruct", model, "--output", str(tmp_path / "o.dten")]):
+        code, _, err = run(args, capsys)
+        assert code == 1
+        assert err.startswith(f"error: {model}: ")
+        if key != "weights":
+            assert f"'{key}'" in err
 
 
 def test_round_rejects_mpo(tmp_path, capsys):

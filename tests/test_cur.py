@@ -158,3 +158,5 @@ def test_fstd_validation():
         fstd(t2)
     with pytest.raises(ValueError):
         fstd(t2, counts=(2, 2), indices=[[1], [1]])
+    with pytest.raises(ValueError, match="index lists"):
+        fstd(t2, indices=[[1], [1], [1]])

@@ -2,15 +2,18 @@
 
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import drop_header_key, random_tt
+from helpers import (drop_header_key, model_zoo, random_tt, read_header,
+                     set_header_value)
 from tenkit import io as tio
-from tenkit.blockmodels import HOPTANode, hopta_reconstruct
+from tenkit.blockmodels import HOPTANode, hopta_reconstruct, reconstruct
 from tenkit.cpd import CPModel, cp_reconstruct, normalize
-from tenkit.cur import fstd
+from tenkit.cur import FSTDModel, fstd
 from tenkit.dense import DenseTensor
 from tenkit.quantize import qtt_compress
 from tenkit.tucker import hosvd, tucker_reconstruct
@@ -160,8 +163,92 @@ def test_sniff_and_read_model(tmp_path):
     assert tio.sniff(tmp_path / "a.dten") == "dten"
     m = random_tt((2, 2), (2,), seed=13)
     tio.write_tt(tmp_path / "b.ttm", m)
-    got = tio.read_model(tmp_path / "b.ttm")
+    got, scheme = tio.read_model(tmp_path / "b.ttm")
     assert got.ranks == (2,)
+    assert scheme is None
     (tmp_path / "junk").write_bytes(b"XXXXXXXX")
     with pytest.raises(tio.ContainerError):
         tio.sniff(tmp_path / "junk")
+
+
+_ZOO = model_zoo()
+
+
+@pytest.mark.parametrize("name, obj, scheme", _ZOO, ids=[z[0] for z in _ZOO])
+def test_write_model_read_model_roundtrip(tmp_path, name, obj, scheme):
+    path = tmp_path / name
+    tio.write_model(path, obj, scheme)
+    back, back_scheme = tio.read_model(path)
+    assert back_scheme == scheme
+    if isinstance(obj, FSTDModel):
+        sidecar = json.loads(Path(f"{path}.indices.json").read_text())
+        assert sidecar["indices"] == [list(ix) for ix in obj.indices]
+        obj = obj.tucker
+    assert type(back) is type(obj)
+    if not isinstance(obj, DenseTensor):
+        back, obj = reconstruct(back, back_scheme), reconstruct(obj, scheme)
+    assert back.dims == obj.dims
+    assert np.array_equal(back.data, obj.data)
+
+
+def test_write_model_rejects_unknown_objects(tmp_path):
+    with pytest.raises(TypeError):
+        tio.write_model(tmp_path / "x", object())
+    cp, scheme = _ZOO[1][1], _ZOO[5][2]
+    with pytest.raises(TypeError):
+        tio.write_model(tmp_path / "x.cpm", cp, scheme)
+
+
+@pytest.mark.parametrize("name, key, value, match", [
+    ("o.ttm", "pairing", [[1, 1], [2, 2]], "pairing"),
+    ("q.ttm", "quantization", {"dims": [8], "mode_factors": [[2, 2, 2]]},
+     "quantization"),
+    ("s.ttm", "ranks", [2], "disagree"),
+    ("m.tkm", "dims", [6, 4, 4], "dims"),
+], ids=["mpo-pairing", "qtt-scheme", "tt-ranks", "tucker-identity-dims"])
+def test_inconsistent_header_raises_container_error(tmp_path, name, key, value,
+                                                    match):
+    path = tmp_path / name
+    obj, scheme = next((o, s) for n, o, s in _ZOO if n == name)
+    tio.write_model(path, obj, scheme)
+    set_header_value(path, key, value)
+    with pytest.raises(tio.ContainerError, match=f"{name}.*{match}"):
+        tio.read_model(path)
+
+
+_TEXT = st.text("ab-", max_size=3)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) |
+    st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=8)
+
+
+@pytest.fixture(scope="module")
+def valid_containers(tmp_path_factory):
+    """Names of one valid container per kind, and a function that restores
+    the named container and returns its path."""
+    root = tmp_path_factory.mktemp("fuzz")
+    blobs = {}
+    for name, obj, scheme in _ZOO:
+        tio.write_model(root / name, obj, scheme)
+        blobs[name] = (root / name).read_bytes()
+
+    def fresh(name):
+        (root / name).write_bytes(blobs[name])
+        return root / name
+    return sorted(blobs), fresh
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_any_header_value_reads_or_raises_container_error(valid_containers,
+                                                           data):
+    names, fresh = valid_containers
+    path = fresh(data.draw(st.sampled_from(names)))
+    key = data.draw(st.sampled_from(sorted(read_header(path))))
+    set_header_value(path, key, data.draw(_JSON))
+    try:
+        tio.read_model(path)
+    except tio.ContainerError:
+        pass
