@@ -87,6 +87,10 @@ def cmd_decompose(args) -> int:
     if (ranks is None) == (args.eps is None):
         raise JobSpecError("give exactly one of --rank and --eps")
     blocks = _int_list(args.blocks) if args.blocks is not None else None
+    bad = t.size - np.count_nonzero(np.isfinite(t.data))
+    if bad:
+        raise NumericalFailure(f"{args.input}: {bad} non-finite entries "
+                               f"in the input")
     started = time.perf_counter()
     fmt = args.format
     failure = scheme = None

@@ -9,8 +9,10 @@ import numpy as np
 
 from .dense import DenseTensor, frobenius_norm, unfold
 from .ops import khatri_rao
+from .ttrain import _left_factor
 
 _GRAM_CUTOFF = 1e-12  # relative eigenvalue cutoff for the R x R Gram pseudo-inverse
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -138,12 +140,11 @@ def _pinv_gram(g: np.ndarray) -> np.ndarray:
     return (v * inv) @ v.T
 
 
-def _init_factors(dims, rank, rng, init, unfoldings):
+def _init_factors(dims, rank, rng, init, lefts):
     factors = []
     for n, d in enumerate(dims):
         if init == "svd":
-            u, _, _ = np.linalg.svd(unfoldings[n], full_matrices=False)
-            f = u[:, :rank]
+            f = lefts[n][:, :rank]
             if f.shape[1] < rank:
                 extra = rng.standard_normal((d, rank - f.shape[1]))
                 f = np.hstack([f, extra])
@@ -177,7 +178,13 @@ def cp_als(t: DenseTensor, rank: int, *, max_iters: int = 200,
         raise ValueError("cannot fit an all-zero tensor")
     order = t.order
     unfoldings = [unfold(t, n) for n in range(1, order + 1)]
-    ranks_n = [np.linalg.matrix_rank(x) for x in unfoldings]
+    # one factorization per unfolding gives the SVD start and the mode
+    # ranks, counted with matrix_rank's default tolerance
+    lefts, ranks_n = [], []
+    for x in unfoldings:
+        u, sig = _left_factor(x)
+        lefts.append(u)
+        ranks_n.append(int(np.sum(sig > sig.max() * max(x.shape) * _EPS)))
     overfactored = any(rank > r for r in ranks_n)
 
     base = np.random.default_rng(seed)
@@ -188,7 +195,7 @@ def cp_als(t: DenseTensor, rank: int, *, max_iters: int = 200,
     for s in range(n_starts):
         rng = np.random.default_rng(seeds[s])
         factors = _init_factors(t.dims, rank, rng, init if s == 0 else "random",
-                                unfoldings)
+                                lefts)
         grams = [f.T @ f for f in factors]
         lam = np.ones(rank)
         history = []

@@ -194,8 +194,18 @@ def read_tucker(path) -> TuckerModel:
     return model
 
 
+def _check_scheme(m: TTModel | TTMatrixModel,
+                  scheme: QuantizationScheme) -> None:
+    """A quantization scheme belongs to an MPS whose dims are its virtual
+    dims."""
+    if isinstance(m, TTMatrixModel) or m.dims != scheme.virtual_dims:
+        raise ValueError("quantization does not match the cores")
+
+
 def write_tt(path, m: TTModel | TTMatrixModel,
              scheme: QuantizationScheme | None = None) -> None:
+    if scheme is not None:
+        _check_scheme(m, scheme)
     if isinstance(m, TTMatrixModel):
         header = {"kind": "mpo", "order": m.order,
                   "row_dims": list(m.row_dims),
@@ -242,9 +252,7 @@ def read_tt(path):
         _field(path, quant, "dims", _is_counts)
         _field(path, quant, "mode_factors", _is_count_lists)
         scheme = QuantizationScheme.from_dict(quant)
-        if kind == "mpo" or model.dims != scheme.virtual_dims:
-            raise ContainerError(f"{path}: quantization does not match the "
-                                 f"cores")
+        _check_scheme(model, scheme)
     return model, scheme
 
 

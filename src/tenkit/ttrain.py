@@ -140,6 +140,21 @@ class TTMatrixModel:
                 f"col_dims={self.col_dims}, ranks={self.ranks})")
 
 
+def _left_factor(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Left singular vectors and singular values of ``mat``, V never formed.
+
+    A wide m x n matrix (n > m) is first reduced to the m x m triangle of
+    the Householder QR of its transpose, mat = R^T Q^T, whose SVD has the
+    same U and singular values; the QR is backward stable, so the singular
+    values are as accurate as a direct SVD's.  Any other matrix goes to the
+    direct economy SVD.
+    """
+    if mat.shape[1] > mat.shape[0]:
+        mat = np.linalg.qr(mat.T, mode="r").T
+    u, s, _ = np.linalg.svd(mat, full_matrices=False)
+    return u, s
+
+
 def _truncation_rank(s: np.ndarray, delta: float | None, cap: int | None) -> tuple[int, str]:
     """Minimal kept rank for an absolute tail budget ``delta`` plus a hard cap.
     Returns (rank, active bound)."""
@@ -218,11 +233,11 @@ def tt_svd(t: DenseTensor, eps: float | None = None,
     rem = arr.reshape(1, -1)
     for n in range(n_modes - 1):
         rem = rem.reshape(rank * dims[n], -1)
-        u, s, vt = np.linalg.svd(rem, full_matrices=False)
+        u, s = _left_factor(rem)
         r, which = _truncation_rank(s, delta, caps[n])
         bounds.append(which)
         cores.append(u[:, :r].reshape(rank, dims[n], r))
-        rem = s[:r, None] * vt[:r]
+        rem = u[:, :r].T @ rem
         rank = r
     cores.append(rem.reshape(rank, dims[-1], 1))
     if sweep == "rl":

@@ -10,7 +10,7 @@ import numpy as np
 
 from .dense import DenseTensor, _sum_tensors, frobenius_norm, unfold
 from .ops import mode_n_matrix_product, multilinear_product
-from .ttrain import _truncation_rank
+from .ttrain import _left_factor, _truncation_rank
 
 _PINV_RCOND = 1e-12
 _ORTHO_RTOL = 1e-10
@@ -75,14 +75,20 @@ def _fix_signs(u: np.ndarray) -> np.ndarray:
 def hosvd(t: DenseTensor, ranks: Sequence[int] | None = None,
           eps: float | None = None,
           identity_modes: Iterable[int] = ()) -> TuckerModel:
-    """Higher-order SVD (exact or truncated).
+    """Sequentially truncated higher-order SVD (exact or truncated).
 
-    Factors are the leading left singular vectors of each mode-n unfolding
-    (identity modes skipped, giving a Tucker-(K,N) model); the core is
-    t x_1 U1^T ... x_N UN^T.  Exactly one of ``ranks``/``eps`` may be given:
-    ``ranks`` pins per-mode truncation, ``eps`` in [0, 1) picks per-mode ranks
-    so the total relative error stays within ``eps`` (the squared budget is
-    split equally across non-identity modes).  With neither, the full
+    Modes are processed in ascending order (identity modes skipped, giving a
+    Tucker-(K,N) model): mode n's factor holds the leading left singular
+    vectors of the mode-n unfolding of the tensor already projected on the
+    earlier factors, t x_1 U1^T ... x_{n-1} U_{n-1}^T, and projecting on
+    U_n as well leaves the core (Vannieuwenhoven, Vandebril & Meerbergen,
+    SISC 2012).  Exactly one of ``ranks``/``eps`` may be given: ``ranks``
+    pins per-mode truncation (a rank above what the projected unfolding has
+    columns for is lowered to that count), ``eps`` in [0, 1) picks per-mode
+    ranks so the total relative error stays within ``eps`` (the squared
+    budget is split equally across non-identity modes).  The squared error
+    is the sum of the squared singular values discarded at each step, at
+    most those the plain HOSVD of ``t`` discards.  With neither, the full
     (untruncated) HOSVD is returned.
     """
     identity_modes = tuple(sorted(set(identity_modes)))
@@ -110,19 +116,18 @@ def hosvd(t: DenseTensor, ranks: Sequence[int] | None = None,
         delta = eps * frobenius_norm(t) / sqrt(n_free)
 
     factors: list[np.ndarray | None] = []
+    core = t
     for n in range(1, t.order + 1):
         if n in identity_modes:
             factors.append(None)
             continue
-        u, s, _ = np.linalg.svd(unfold(t, n), full_matrices=False)
+        u, s = _left_factor(unfold(core, n))
         if ranks is not None:
             r = ranks[n - 1]
         else:
             r, _ = _truncation_rank(s, delta, None)
         factors.append(_fix_signs(u[:, :r]))
-
-    core = multilinear_product(
-        t, [None if f is None else f.T for f in factors])
+        core = mode_n_matrix_product(core, factors[-1].T, n)
     return TuckerModel(core, factors)
 
 
@@ -357,7 +362,7 @@ def hosvd_from_subtensors(t: DenseTensor, counts: Sequence[int] | None = None,
         keys = [np.arange(t.dims[m - 1]) if m == n else idx0[m - 1]
                 for m in range(1, t.order + 1)]
         sub = DenseTensor.from_array(arr[np.ix_(*keys)])
-        u, s, _ = np.linalg.svd(unfold(sub, n), full_matrices=False)
+        u, s = _left_factor(unfold(sub, n))
         r = int(np.sum(s > rank_tol * s[0])) if s.size and s[0] > 0 else 0
         if r == 0:
             raise np.linalg.LinAlgError(

@@ -292,13 +292,22 @@ def test_decompose_cpd_nonconvergence_exit_3(tmp_path, capsys):
 
 
 def test_decompose_nan_input_exit_3(tmp_path, capsys):
-    arr = np.arange(27.0).reshape(3, 3, 3)
+    # wide unfoldings (8 x 64), so the factor kernel's QR route would run
+    arr = np.arange(512.0).reshape(8, 16, 4)
     arr[1, 1, 1] = np.nan
+    arr[2, 3, 0] = np.inf
     inp = write_fixture(tmp_path, "t.dten", DenseTensor.from_array(arr))
-    code, _, err = run(["decompose", inp, "--format", "tucker", "--rank",
-                        "2,2,2", "--output", str(tmp_path / "m.tkm")], capsys)
-    assert code == 3
-    assert "numerical failure" in err
+    for fmt, flags, out in [("cpd", ["--rank", "2"], "m.cpm"),
+                            ("tucker", ["--rank", "2,2,2"], "m.tkm"),
+                            ("fstd", ["--rank", "2,2,2"], "f.tkm"),
+                            ("tt", ["--rank", "2"], "m.ttm"),
+                            ("qtt", ["--eps", "1e-6"], "q.ttm")]:
+        code, stdout, err = run(["decompose", inp, "--format", fmt, *flags,
+                                 "--output", str(tmp_path / out)], capsys)
+        assert code == 3, fmt
+        assert "numerical failure" in err and "2 non-finite entries" in err
+        assert stdout == ""
+        assert not (tmp_path / out).exists()
 
 
 def test_model_header_without_rank_exit_1(tmp_path, capsys):

@@ -179,3 +179,18 @@ def test_als_svd_init():
     assert diag.fit_history[-1] >= 1 - 1e-10
     with pytest.raises(ValueError):
         cp_als(t, 1, init="nope")
+
+
+@pytest.mark.parametrize("dims", [(3, 4, 5), (4, 2, 2), (2, 3, 6), (6, 2, 2),
+                                  (3, 3, 9)])
+def test_als_overfactored_matches_matrix_rank(dims):
+    # wide, square and tall unfoldings of exact low-rank tensors
+    rng = np.random.default_rng(sum(dims))
+    for true_rank in (1, 2, 3, 4):
+        factors = [rng.standard_normal((d, true_rank)) for d in dims]
+        t = cp_reconstruct(CPModel(np.ones(true_rank), factors))
+        mode_ranks = [np.linalg.matrix_rank(unfold(t, n))
+                      for n in range(1, t.order + 1)]
+        for rank in range(1, 6):
+            _, diag = cp_als(t, rank, max_iters=1, seed=0)
+            assert diag.overfactored == any(rank > r for r in mode_ranks)

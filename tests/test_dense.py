@@ -5,9 +5,11 @@ implemented here with plain Python loops (no reshape tricks).
 """
 
 import itertools
+from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tenkit.dense import (BIG_ENDIAN, LITTLE_ENDIAN, DenseTensor,
                           UnfoldingSpec, extract_subtensor, fiber, fold,
@@ -297,3 +299,43 @@ def test_random_tensor_seeded():
     b = random_tensor((3, 4), 7)
     assert a.dims == (3, 4)
     assert np.array_equal(a.data, b.data)
+
+
+_dims = st.lists(st.integers(1, 4), min_size=1, max_size=5)
+_property = settings(max_examples=60, deadline=None, derandomize=True,
+                     database=None)
+
+
+def _seeded(dims, seed):
+    return DenseTensor.from_array(
+        np.random.default_rng(seed).standard_normal(dims))
+
+
+@_property
+@given(dims=_dims, seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_fold_unfold_roundtrip_property(dims, seed, data):
+    t = _seeded(dims, seed)
+    n = data.draw(st.integers(1, len(dims)))
+    mat = unfold(t, n)
+    assert mat.shape == (dims[n - 1], prod(dims) // dims[n - 1])
+    back = fold(mat, n, dims)
+    assert back.dims == t.dims
+    assert np.array_equal(back.data, t.data)
+    assert np.array_equal(unfold(back, n), mat)
+
+
+@_property
+@given(dims=_dims, seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_fold_general_unfold_general_roundtrip_property(dims, seed, data):
+    t = _seeded(dims, seed)
+    modes = data.draw(st.permutations(range(1, len(dims) + 1)))
+    split = data.draw(st.integers(0, len(dims)))
+    convention = data.draw(st.sampled_from([LITTLE_ENDIAN, BIG_ENDIAN]))
+    spec = UnfoldingSpec(tuple(modes[:split]), tuple(modes[split:]), convention)
+    mat = unfold_general(t, spec)
+    assert mat.shape == (prod(dims[m - 1] for m in spec.row_modes),
+                         prod(dims[m - 1] for m in spec.col_modes))
+    back = fold_general(mat, spec, dims)
+    assert back.dims == t.dims
+    assert np.array_equal(back.data, t.data)
+    assert np.array_equal(unfold_general(back, spec), mat)

@@ -15,7 +15,7 @@ from tenkit.blockmodels import HOPTANode, hopta_reconstruct, reconstruct
 from tenkit.cpd import CPModel, cp_reconstruct, normalize
 from tenkit.cur import FSTDModel, fstd
 from tenkit.dense import DenseTensor
-from tenkit.quantize import qtt_compress
+from tenkit.quantize import QuantizationScheme, qtt_compress
 from tenkit.tucker import hosvd, tucker_reconstruct
 from tenkit.ttrain import ttm_svd
 
@@ -203,9 +203,12 @@ def test_write_model_rejects_unknown_objects(tmp_path):
     ("o.ttm", "pairing", [[1, 1], [2, 2]], "pairing"),
     ("q.ttm", "quantization", {"dims": [8], "mode_factors": [[2, 2, 2]]},
      "quantization"),
+    ("o.ttm", "quantization", {"dims": [16], "mode_factors": [[2, 2, 2, 2]]},
+     "quantization"),
     ("s.ttm", "ranks", [2], "disagree"),
     ("m.tkm", "dims", [6, 4, 4], "dims"),
-], ids=["mpo-pairing", "qtt-scheme", "tt-ranks", "tucker-identity-dims"])
+], ids=["mpo-pairing", "qtt-scheme", "mpo-scheme", "tt-ranks",
+        "tucker-identity-dims"])
 def test_inconsistent_header_raises_container_error(tmp_path, name, key, value,
                                                     match):
     path = tmp_path / name
@@ -214,6 +217,17 @@ def test_inconsistent_header_raises_container_error(tmp_path, name, key, value,
     set_header_value(path, key, value)
     with pytest.raises(tio.ContainerError, match=f"{name}.*{match}"):
         tio.read_model(path)
+
+
+def test_write_tt_rejects_a_scheme_that_does_not_fit(tmp_path):
+    # read_tt would reject both files, so write_tt refuses to write them
+    scheme = QuantizationScheme.uniform((16,), 2)
+    mpo = ttm_svd(rt((2, 2, 2, 2), 6), eps=1e-12)
+    mps = random_tt((4, 4), (2,), seed=7)
+    for name, model in (("o.ttm", mpo), ("s.ttm", mps)):
+        with pytest.raises(ValueError, match="quantization"):
+            tio.write_tt(tmp_path / name, model, scheme=scheme)
+        assert not (tmp_path / name).exists()
 
 
 _TEXT = st.text("ab-", max_size=3)

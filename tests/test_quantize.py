@@ -1,7 +1,10 @@
 """Tensorization schemes, QTT compression round trips, storage formulas."""
 
+from math import prod
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import geometric_vector
 from tenkit.dense import DenseTensor, frobenius_norm
@@ -173,3 +176,28 @@ def test_storage_complexity_errors():
         storage_complexity("qtt", 1, 10, 1, 2)
     with pytest.raises(ValueError):
         storage_complexity("cpd", 0, 10, 2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_tensorize_roundtrip_property(data, seed):
+    order = data.draw(st.integers(1, 3))
+    interleaved = data.draw(st.booleans())
+    if interleaved:
+        k = data.draw(st.integers(1, 3))
+        digits = st.lists(st.integers(2, 3), min_size=k, max_size=k)
+    else:
+        # a mode of size 1 has the single factor 1
+        digits = st.one_of(st.just([1]),
+                           st.lists(st.integers(2, 4), min_size=1, max_size=2))
+    factors = tuple(tuple(data.draw(digits)) for _ in range(order))
+    scheme = QuantizationScheme(tuple(prod(fs) for fs in factors), factors,
+                                interleaved)
+    x = DenseTensor.from_array(
+        np.random.default_rng(seed).standard_normal(scheme.dims))
+    y = tensorize(x, scheme)
+    assert y.dims == scheme.virtual_dims
+    assert np.array_equal(np.sort(y.data), np.sort(x.data))
+    back = detensorize(y, scheme)
+    assert back.dims == x.dims
+    assert np.array_equal(back.data, x.data)

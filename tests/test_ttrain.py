@@ -7,11 +7,12 @@ import pytest
 from helpers import random_tt
 from tenkit.dense import (BIG_ENDIAN, DenseTensor, UnfoldingSpec,
                           frobenius_norm, unfold_general, vectorize)
-from tenkit.ttrain import (TTMatrixModel, TTModel, tt_als, tt_element, tt_mals,
-                           tt_norm, tt_orthogonalize, tt_outer_sum,
-                           tt_reconstruct, tt_round, tt_storage, tt_svd,
-                           tt_to_strong_kron, ttm_element, ttm_reconstruct,
-                           ttm_storage, ttm_svd, ttm_to_strong_kron)
+from tenkit.ttrain import (TTMatrixModel, TTModel, _left_factor, tt_als,
+                           tt_element, tt_mals, tt_norm, tt_orthogonalize,
+                           tt_outer_sum, tt_reconstruct, tt_round, tt_storage,
+                           tt_svd, tt_to_strong_kron, ttm_element,
+                           ttm_reconstruct, ttm_storage, ttm_svd,
+                           ttm_to_strong_kron)
 
 
 def fixture_tensor(seed=0, dims=(6, 6, 6, 6), ranks=(3, 4, 5)):
@@ -442,3 +443,31 @@ def test_tt_mals_custom_splitter_hook():
                 splitter=counting_splitter)
     assert calls  # the hook was exercised
     assert m.meta["residual_history"][-1] <= 1e-8
+
+
+@pytest.mark.parametrize("shape,rank", [
+    ((5, 40), None), ((40, 5), None), ((7, 7), None),      # wide, tall, square
+    ((6, 50), 2), ((50, 6), 3), ((7, 7), 4),               # rank-deficient
+    ((4, 9), 0), ((9, 4), 0),                              # all zero
+    ((1, 30), None), ((30, 1), None),
+])
+def test_left_factor_matches_svd(shape, rank):
+    rng = np.random.default_rng(list(shape))
+    if rank is None:
+        mat = rng.standard_normal(shape)
+    else:
+        mat = (rng.standard_normal((shape[0], rank))
+               @ rng.standard_normal((rank, shape[1])))
+    u, s = _left_factor(mat)
+    u0, s0, _ = np.linalg.svd(mat, full_matrices=False)
+    k = min(shape)
+    assert u.shape == (shape[0], k) and s.shape == (k,)
+    smax = s0[0]
+    assert np.all(np.abs(s - s0) <= 1e-12 * smax)
+    assert np.allclose(u.T @ u, np.eye(k), rtol=0, atol=1e-12)
+    # leading subspaces agree wherever a spectral gap separates them
+    for j in range(1, k + 1):
+        below = s0[j] if j < k else 0.0
+        if s0[j - 1] - below > 1e-6 * smax:
+            p, p0 = u[:, :j] @ u[:, :j].T, u0[:, :j] @ u0[:, :j].T
+            assert np.allclose(p, p0, rtol=0, atol=1e-8)

@@ -299,3 +299,57 @@ def test_tucker_big_endian_matricized_identity():
                                                                factors[m - 1])
         rhs = factors[n - 1] @ unfold_general(core, spec) @ kron.T
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(lhs)
+
+
+def _noisy_tucker(dims, ranks, noise, seed):
+    t, _, _ = random_tucker_tensor(dims, ranks, seed)
+    rng = np.random.default_rng([seed, 1])
+    e = rng.standard_normal(dims)
+    e *= noise * frobenius_norm(t) / np.linalg.norm(e)
+    return DenseTensor.from_array(t.to_array() + e)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_hosvd_ranks_error_within_t_hosvd_bound(seed):
+    # err^2 <= sum over modes of the discarded sigma^2 of unfold(t, n)
+    rng = np.random.default_rng([seed, 2])
+    order = 3 + seed % 2
+    dims = tuple(int(d) for d in rng.integers(3, 8, size=order))
+    ranks = tuple(int(rng.integers(1, d + 1)) for d in dims)
+    t = _noisy_tucker(dims, [max(1, d - 2) for d in dims], 0.05, seed)
+    m = hosvd(t, ranks=ranks)
+    err = np.linalg.norm(tucker_reconstruct(m).data - t.data)
+    bound_sq = sum(np.sum(np.linalg.svd(unfold(t, n), compute_uv=False)
+                          [ranks[n - 1]:] ** 2) for n in range(1, order + 1))
+    assert err <= np.sqrt(bound_sq) + 1e-12 * frobenius_norm(t)
+
+
+@pytest.mark.parametrize("identity_modes", [(), (2,), (1, 4)])
+def test_hosvd_eps_bound_over_seeds(identity_modes):
+    for seed in range(5):
+        t = _noisy_tucker((7, 6, 5, 4), (3, 3, 2, 2), 0.1, 20 + seed)
+        norm = frobenius_norm(t)
+        for eps in (0.02, 0.1, 0.5):
+            m = hosvd(t, eps=eps, identity_modes=identity_modes)
+            assert m.identity_modes == identity_modes
+            err = np.linalg.norm(tucker_reconstruct(m).data - t.data)
+            assert err <= eps * norm * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("dims,identity_modes", [
+    ((6, 5, 4), ()), ((3, 8, 5), (2,)), ((2, 2, 7), ()), ((4, 3, 2, 5), (1,)),
+])
+def test_hosvd_untruncated_factors_match_direct_svd(dims, identity_modes):
+    t = rt(dims, 12)
+    m = hosvd(t, identity_modes=identity_modes)
+    for n in range(1, t.order + 1):
+        f = m.factors[n - 1]
+        if n in identity_modes:
+            assert f is None
+            continue
+        u = np.linalg.svd(unfold(t, n), full_matrices=False)[0]
+        assert f.shape == u.shape
+        signs = np.sign(np.sum(f * u, axis=0))
+        assert np.allclose(f, u * signs, rtol=0, atol=1e-10)
+    err = np.linalg.norm(tucker_reconstruct(m).data - t.data)
+    assert err <= 1e-12 * frobenius_norm(t)
