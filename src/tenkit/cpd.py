@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from math import prod
 from typing import Sequence
 
 import numpy as np
@@ -69,18 +71,10 @@ def normalize(m: CPModel) -> CPModel:
     return CPModel(lam, factors)
 
 
-def _subscripts(order: int) -> str:
-    letters = "abcdefghijklmnopqrstuvwxy"
-    if order > len(letters):
-        raise ValueError("tensor order too large for CP reconstruction")
-    ins = ",".join(f"{letters[n]}z" for n in range(order))
-    return f"z,{ins}->{letters[:order]}"
-
-
-def cp_reconstruct(m: CPModel) -> DenseTensor:
-    """Dense tensor sum_r lambda_r b_r^(1) o ... o b_r^(N)."""
-    arr = np.einsum(_subscripts(m.order), m.weights, *m.factors)
-    return DenseTensor.from_array(arr)
+def _kr_chain(mats: Sequence[np.ndarray], rank: int) -> np.ndarray:
+    # Khatri-Rao product of the matrices in the given order; the empty chain
+    # is a row of ones, so order-1 models need no special case
+    return reduce(khatri_rao, mats) if mats else np.ones((1, rank))
 
 
 def _kr_others(factors: Sequence[np.ndarray], n: int, descending: bool) -> np.ndarray:
@@ -88,11 +82,39 @@ def _kr_others(factors: Sequence[np.ndarray], n: int, descending: bool) -> np.nd
     # other factors in *descending* mode order (the printed big-endian form
     # uses ascending order).
     order = range(len(factors) - 1, -1, -1) if descending else range(len(factors))
-    mats = [factors[k] for k in order if k != n - 1]
-    out = mats[0]
-    for f in mats[1:]:
-        out = khatri_rao(out, f)
-    return out
+    return _kr_chain([factors[k] for k in order if k != n - 1],
+                     factors[0].shape[1])
+
+
+def cp_reconstruct(m: CPModel) -> DenseTensor:
+    """Dense tensor sum_r lambda_r b_r^(1) o ... o b_r^(N)."""
+    # (KR of modes N..2) (B1 Lambda)^T in C order is the first-index-fastest
+    # buffer: row index over modes 2..N, column index i_1 fastest
+    flat = _kr_others(m.factors, 1, descending=True) @ (m.factors[0] * m.weights).T
+    return DenseTensor(m.dims, flat.reshape(-1), copy=False)
+
+
+def _mttkrp(arr: np.ndarray, factors: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """unfold(t, n) @ _kr_others(factors, n, descending=True) on the
+    first-index-fastest array ``arr`` of ``t``, without forming the unfolding.
+
+    The F-order view (I_<n, I_n, I_>n) is free.  The larger outer side is
+    contracted with its Khatri-Rao chain first, by one GEMM on that view, so
+    the intermediate left for the small einsum over the other side has only
+    R x size / (larger side) entries.
+    """
+    dims = arr.shape
+    rank = factors[0].shape[1]
+    left, right = prod(dims[:n - 1]), prod(dims[n:])
+    kr_left = _kr_chain(factors[:n - 1][::-1], rank)
+    kr_right = _kr_chain(factors[n:][::-1], rank)
+    if right >= left:
+        y = arr.reshape(left * dims[n - 1], right, order="F") @ kr_right
+        return np.einsum("lir,lr->ir", y.reshape(left, dims[n - 1], rank,
+                                                 order="F"), kr_left)
+    y = kr_left.T @ arr.reshape(left, dims[n - 1] * right, order="F")
+    return np.einsum("rij,jr->ir", y.reshape(rank, dims[n - 1], right,
+                                             order="F"), kr_right)
 
 
 def cp_unfolded(m: CPModel, n: int, convention: str = "little-endian") -> np.ndarray:
@@ -106,14 +128,14 @@ def cp_unfolded(m: CPModel, n: int, convention: str = "little-endian") -> np.nda
         raise ValueError(f"mode {n} invalid for an order-{m.order} model")
     if convention not in ("little-endian", "big-endian"):
         raise ValueError(f"unknown convention {convention!r}")
-    if m.order == 1:
-        return m.factors[0] * m.weights
     kr = _kr_others(m.factors, n, descending=(convention == "little-endian"))
     return (m.factors[n - 1] * m.weights) @ kr.T
 
 
 def cp_fit(t: DenseTensor, m: CPModel) -> float:
     """1 - relative Frobenius error of the model against ``t``."""
+    if t.dims != m.dims:
+        raise ValueError(f"model dims {m.dims} differ from tensor dims {t.dims}")
     norm_t = frobenius_norm(t)
     if norm_t == 0.0:
         raise ValueError("fit undefined for a zero-norm tensor")
@@ -158,33 +180,43 @@ def _init_factors(dims, rank, rng, init, lefts):
 
 def cp_als(t: DenseTensor, rank: int, *, max_iters: int = 200,
            tol: float = 1e-10, seed=None, n_starts: int = 1,
-           init: str = "random") -> tuple[CPModel, CPDiagnostics]:
+           init: str = "svd") -> tuple[CPModel, CPDiagnostics]:
     """Fit a rank-R CP model by alternating least squares.
 
     Each sweep updates B^(n) <- X_(n) (KR of others)(Hadamard of Grams)^+,
     then renormalizes columns into lambda.  The fit 1 - |X - Xhat|/|X| is
     non-decreasing per sweep up to roundoff; iteration stops when the fit
-    change drops below ``tol`` or after ``max_iters`` sweeps.  With
-    ``n_starts`` > 1 the best final fit wins.
+    change drops below ``tol`` or after ``max_iters`` sweeps.  Start 0 uses
+    ``init``: the leading left singular vectors of each unfolding (``"svd"``)
+    or Gaussian factors (``"random"``); later starts are random.  With
+    ``n_starts`` > 1 the best final fit wins.  The MTTKRP X_(n) (KR of
+    others) runs on the tensor's buffer (:func:`_mttkrp`), and every sweep
+    records the exact dense fit.
 
     Returns the fitted model and a :class:`CPDiagnostics`.
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")
+    if max_iters < 1 or n_starts < 1:
+        raise ValueError(f"max_iters and n_starts must be >= 1, got "
+                         f"{max_iters} and {n_starts}")
     if init not in ("random", "svd"):
         raise ValueError(f"unknown init {init!r}")
     norm_t = frobenius_norm(t)
     if norm_t == 0.0:
         raise ValueError("cannot fit an all-zero tensor")
     order = t.order
-    unfoldings = [unfold(t, n) for n in range(1, order + 1)]
+    arr = t.to_array()
     # one factorization per unfolding gives the SVD start and the mode
-    # ranks, counted with matrix_rank's default tolerance
+    # ranks, counted with matrix_rank's default tolerance; each unfolding is
+    # dropped once factored
     lefts, ranks_n = [], []
-    for x in unfoldings:
+    for n in range(1, order + 1):
+        x = unfold(t, n)
         u, sig = _left_factor(x)
         lefts.append(u)
         ranks_n.append(int(np.sum(sig > sig.max() * max(x.shape) * _EPS)))
+        del x
     overfactored = any(rank > r for r in ranks_n)
 
     base = np.random.default_rng(seed)
@@ -206,8 +238,7 @@ def cp_als(t: DenseTensor, rank: int, *, max_iters: int = 200,
                 for k in range(order):
                     if k != n - 1:
                         g *= grams[k]
-                kr = _kr_others(factors, n, descending=True)
-                f = (unfoldings[n - 1] @ kr) @ _pinv_gram(g)
+                f = _mttkrp(arr, factors, n) @ _pinv_gram(g)
                 factors[n - 1] = f
                 grams[n - 1] = f.T @ f
             # lambda is re-extracted after every full sweep; scale sits in the

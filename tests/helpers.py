@@ -30,6 +30,18 @@ def well_conditioned_cp(dims, rank, seed, max_cond=5.0):
     return normalize(CPModel(np.ones(rank), factors))
 
 
+def noisy_cp_cube(dim, seed, rank=4, noise=1e-4):
+    """dim^3 tensor of Gaussian CP-rank-``rank`` factors plus Gaussian noise
+    at relative level ``noise``; returns the tensor and its noise ratio."""
+    rng = np.random.default_rng(seed)
+    factors = [rng.standard_normal((dim, rank)) for _ in range(3)]
+    clean = np.einsum("ir,jr,kr->ijk", *factors)
+    e = rng.standard_normal(clean.shape)
+    e *= noise * np.linalg.norm(clean) / np.linalg.norm(e)
+    x = clean + e
+    return DenseTensor.from_array(x), float(np.linalg.norm(e) / np.linalg.norm(x))
+
+
 def random_tucker_tensor(dims, ranks, seed):
     """Tensor of exact multilinear rank ``ranks`` from orthonormal factors."""
     rng = np.random.default_rng(seed)

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import (drop_header_key, geometric_vector, random_tt,
-                     set_header_value, well_conditioned_cp)
+from helpers import (drop_header_key, geometric_vector, noisy_cp_cube,
+                     random_tt, set_header_value, well_conditioned_cp)
 from tenkit import io as tio
 from tenkit.blockmodels import HOPTANode
 from tenkit.cli import BENCH_HEADER, main
@@ -75,6 +75,35 @@ def test_decompose_cpd_rank1(tmp_path, capsys):
     assert float(parse_report(stdout.splitlines()[0])["rel_error"]) <= 1e-10
 
 
+@pytest.mark.parametrize("seed", [5, 11, 19, 20])
+def test_decompose_cpd_converges_from_the_default_start(tmp_path, capsys, seed):
+    # a random start 0 stalls near relative error 0.4 on these inputs
+    t, rho = noisy_cp_cube(20, seed)
+    inp = write_fixture(tmp_path, "t.dten", t)
+    code, stdout, err = run(["decompose", inp, "--format", "cpd", "--rank", "4",
+                             "--seed", str(seed), "--output",
+                             str(tmp_path / "m.cpm")], capsys)
+    assert code == 0, err
+    assert float(parse_report(stdout.splitlines()[0])["rel_error"]) <= 2 * rho
+
+
+def test_decompose_cpd_order1(tmp_path, capsys):
+    v = DenseTensor.from_array(np.array([3.0, -1.0, 0.5, 2.0, 4.0]))
+    inp = write_fixture(tmp_path, "v.dten", v)
+    out = str(tmp_path / "v.cpm")
+    code, stdout, err = run(["decompose", inp, "--format", "cpd", "--rank",
+                             "1", "--output", out], capsys)
+    assert code == 0, err
+    report = parse_report(stdout.splitlines()[0])
+    assert report["dims"] == "5" and report["ranks"] == "1"
+    assert float(report["rel_error"]) <= 1e-14
+    rec = str(tmp_path / "back.dten")
+    code, stdout, _ = run(["reconstruct", out, "--output", rec, "--against",
+                           inp], capsys)
+    assert code == 0
+    assert np.allclose(tio.read_dense(rec).data, v.data, rtol=1e-14)
+
+
 def test_decompose_usage_errors(tmp_path, capsys):
     t = DenseTensor((4, 4), np.arange(16.0))
     inp = write_fixture(tmp_path, "t.dten", t)
@@ -88,6 +117,12 @@ def test_decompose_usage_errors(tmp_path, capsys):
     code, _, _ = run(["decompose", inp, "--format", "qtt", "--rank", "2",
                       "--output", out], capsys)
     assert code == 2
+    for flag in ("--max-iters", "--n-starts"):
+        code, _, err = run(["decompose", inp, "--format", "cpd", "--rank", "1",
+                            flag, "0", "--output", str(tmp_path / "x.cpm")],
+                           capsys)
+        assert code == 2 and "must be >= 1" in err
+        assert not (tmp_path / "x.cpm").exists()
 
 
 def test_missing_input_exit_1(tmp_path, capsys):

@@ -1,15 +1,40 @@
 """CP model reconstruction, matricized forms, and ALS fitting."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import cp_factor_match, well_conditioned_cp
-from tenkit.cpd import (CPModel, cp_als, cp_fit, cp_reconstruct, cp_unfolded,
-                        normalize)
+from helpers import cp_factor_match, noisy_cp_cube, well_conditioned_cp
+from tenkit.cpd import (CPModel, _kr_others, _mttkrp, _pinv_gram, cp_als,
+                        cp_fit, cp_reconstruct, cp_unfolded, normalize)
 from tenkit.dense import (BIG_ENDIAN, DenseTensor, UnfoldingSpec,
                           frobenius_norm, unfold, unfold_general)
 from tenkit.ops import khatri_rao
+from tenkit.ttrain import _left_factor
 from tenkit.tucker import TuckerModel, tucker_reconstruct
+
+_property = settings(max_examples=60, deadline=None, derandomize=True,
+                     database=None)
+_dims = st.lists(st.integers(1, 4), min_size=1, max_size=5)
+
+
+def _random_model(dims, rank, seed):
+    rng = np.random.default_rng(seed)
+    return CPModel(rng.standard_normal(rank),
+                   [rng.standard_normal((d, rank)) for d in dims])
+
+
+def _einsum_reconstruct(m):
+    # reference: the outer-product sum written out index by index
+    letters = "abcde"[:m.order]
+    subs = "z," + ",".join(f"{c}z" for c in letters) + "->" + letters
+    return np.einsum(subs, m.weights, *m.factors).flatten(order="F")
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
 
 
 def test_reconstruct_rank1_unit_norm():
@@ -82,6 +107,15 @@ def test_fit_values():
     assert np.isclose(cp_fit(t, other), direct, rtol=1e-13)
     with pytest.raises(ValueError):
         cp_fit(DenseTensor((2, 2), np.zeros(4)), m)
+
+
+@pytest.mark.parametrize("model_dims", [(6, 4), (4, 5), (4, 6, 1), (24,)])
+def test_fit_rejects_a_model_of_other_dims(model_dims):
+    t = DenseTensor.from_array(np.arange(24.0).reshape(4, 6))
+    m = _random_model(model_dims, 2, seed=0)
+    with pytest.raises(ValueError, match=r"\(4, 6\)") as err:
+        cp_fit(t, m)
+    assert str(model_dims) in str(err.value)
 
 
 def test_reconstruct_invariant_under_column_permutation():
@@ -159,6 +193,10 @@ def test_als_overfactoring_flag_and_zero_error():
         cp_als(DenseTensor((2, 2), np.zeros(4)), 1)
     with pytest.raises(ValueError):
         cp_als(t, 0)
+    with pytest.raises(ValueError, match="max_iters"):
+        cp_als(t, 1, max_iters=0)
+    with pytest.raises(ValueError, match="n_starts"):
+        cp_als(t, 1, n_starts=0)
 
 
 def test_als_seed_reproducible():
@@ -194,3 +232,84 @@ def test_als_overfactored_matches_matrix_rank(dims):
         for rank in range(1, 6):
             _, diag = cp_als(t, rank, max_iters=1, seed=0)
             assert diag.overfactored == any(rank > r for r in mode_ranks)
+
+
+@_property
+@given(dims=_dims, rank=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_reconstruct_matches_einsum_formula(dims, rank, seed):
+    m = _random_model(dims, rank, seed)
+    got = cp_reconstruct(m)
+    assert got.dims == tuple(dims)
+    assert _rel(got.data, _einsum_reconstruct(m)) <= 1e-13
+
+
+def _reference_als(t, rank, max_iters, tol):
+    # the textbook sweep: MTTKRP as unfolding times the Khatri-Rao chain,
+    # fit from the einsum reconstruction; SVD start as in cp_als
+    unfs = [unfold(t, n) for n in range(1, t.order + 1)]
+    factors = []
+    for x in unfs:
+        f = _left_factor(x)[0][:, :rank]
+        factors.append(f / np.linalg.norm(f, axis=0))
+    norm_t = np.linalg.norm(t.data)
+    history = []
+    for _ in range(max_iters):
+        for n in range(t.order):
+            others = [k for k in reversed(range(t.order)) if k != n]
+            kr = reduce(khatri_rao, [factors[k] for k in others])
+            g = np.ones((rank, rank))
+            for k in range(t.order):
+                if k != n:
+                    g *= factors[k].T @ factors[k]
+            factors[n] = (unfs[n] @ kr) @ _pinv_gram(g)
+        model = normalize(CPModel(np.ones(rank), factors))
+        factors = model.factors
+        resid = np.linalg.norm(t.data - _einsum_reconstruct(model))
+        history.append(1.0 - resid / norm_t)
+        if len(history) > 1 and abs(history[-1] - history[-2]) < tol:
+            break
+    return history
+
+
+def test_als_matches_reference_sweeps():
+    t, _ = noisy_cp_cube(20, seed=3)
+    want = _reference_als(t, 4, max_iters=200, tol=1e-10)
+    _, diag = cp_als(t, 4, max_iters=200, tol=1e-10, seed=0, init="svd")
+    assert diag.converged
+    assert diag.n_sweeps == len(want)
+    assert np.allclose(diag.fit_history, want, rtol=0, atol=1e-12)
+
+
+@_property
+@given(dims=_dims, rank=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_mttkrp_matches_unfolded_product(dims, rank, seed):
+    m = _random_model(dims, rank, seed)
+    t = DenseTensor.from_array(
+        np.random.default_rng(seed + 1).standard_normal(dims))
+    for n in range(1, len(dims) + 1):
+        want = unfold(t, n) @ _kr_others(m.factors, n, descending=True)
+        got = _mttkrp(t.to_array(), m.factors, n)
+        assert got.shape == (dims[n - 1], rank)
+        assert _rel(got, want) <= 1e-12
+
+
+def test_als_default_start_is_svd():
+    t, _ = noisy_cp_cube(8, seed=2, rank=2)
+    m1, d1 = cp_als(t, 2, max_iters=5, tol=0.0, seed=7)
+    m2, d2 = cp_als(t, 2, max_iters=5, tol=0.0, seed=7, init="svd")
+    assert d1.fit_history == d2.fit_history
+    assert np.array_equal(m1.weights, m2.weights)
+
+
+def test_order1_model_and_fit():
+    v = np.array([3.0, -1.0, 0.5, 2.0, 4.0])
+    t = DenseTensor.from_array(v)
+    m = CPModel([1.0, 2.0], [np.column_stack([v / 3, v / 3])])
+    assert np.allclose(cp_reconstruct(m).data, v, rtol=1e-15)
+    assert cp_unfolded(m, 1).shape == (5, 1)
+    assert np.allclose(cp_unfolded(m, 1), unfold(t, 1), rtol=1e-15)
+    model, diag = cp_als(t, 1, seed=0)
+    assert diag.converged and not diag.overfactored
+    assert model.dims == (5,)
+    assert cp_fit(t, model) >= 1 - 1e-14
+    assert np.allclose(cp_reconstruct(model).data, v, rtol=1e-14)
