@@ -46,7 +46,10 @@ def _int_list(text: str) -> list[int]:
 
 
 def _rel_error(t: DenseTensor, rec: DenseTensor) -> float:
-    return float(np.linalg.norm(t.data - rec.data) / np.linalg.norm(t.data))
+    """|t - rec| / |t|: 0 for an exact fit, inf when only t is zero."""
+    err = np.linalg.norm(t.data - rec.data)
+    with np.errstate(divide="ignore"):
+        return float(err / np.linalg.norm(t.data)) if err else 0.0
 
 
 def _seconds(elapsed: float, deterministic: bool) -> str:
@@ -227,6 +230,7 @@ def cmd_bench(args) -> int:
         raise JobSpecError("bench uses uniform dims; give e.g. --dims 8,8,8")
     n, i = len(dims), dims[0]
     rank = int(args.rank) if args.rank is not None else 2
+    storage_complexity("qtt", n, i, rank, args.q)  # reject bad I, q before any fit
     rows = []
     for fmt in ("cpd", "tucker", "tt", "ttm", "qtt"):
         t, fit = _bench_case(fmt, n, i, rank, args.q, args.seed)

@@ -202,6 +202,8 @@ def cp_als(t: DenseTensor, rank: int, *, max_iters: int = 200,
                          f"{max_iters} and {n_starts}")
     if init not in ("random", "svd"):
         raise ValueError(f"unknown init {init!r}")
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     norm_t = frobenius_norm(t)
     if norm_t == 0.0:
         raise ValueError("cannot fit an all-zero tensor")

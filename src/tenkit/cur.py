@@ -280,6 +280,8 @@ def fstd(t: DenseTensor, counts: Sequence[int] | None = None,
         raise ValueError("fstd needs an order >= 2 tensor")
     if (counts is None) == (indices is None):
         raise ValueError("give exactly one of counts or indices")
+    if not t.data.any():
+        raise ValueError("cannot fit an all-zero tensor")
     early = False
     if counts is not None:
         sel = select_fibers_maxmod(t, counts, complete=True)

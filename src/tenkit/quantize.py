@@ -131,15 +131,14 @@ def tensorize(x: DenseTensor, scheme: QuantizationScheme) -> DenseTensor:
     """Relabel the entries of ``x`` as a higher-order quantized tensor.
 
     Pure bijective reindexing: the non-interleaved little-endian digit order
-    leaves the canonical flat storage untouched.
+    leaves the canonical flat storage untouched, and the result shares it.
     """
     if x.dims != scheme.dims:
         raise ValueError(f"scheme dims {scheme.dims} do not match tensor "
                          f"dims {x.dims}")
-    if not scheme.interleaved:
-        return DenseTensor(scheme.virtual_dims, x.data)
     arr = x.data.reshape(scheme._block_dims(), order="F")
-    return DenseTensor.from_array(arr.transpose(scheme._permutation()))
+    arr = arr.transpose(scheme._permutation())
+    return DenseTensor(scheme.virtual_dims, arr.ravel(order="F"), copy=False)
 
 
 def detensorize(y: DenseTensor, scheme: QuantizationScheme) -> DenseTensor:
@@ -147,11 +146,8 @@ def detensorize(y: DenseTensor, scheme: QuantizationScheme) -> DenseTensor:
     if y.dims != scheme.virtual_dims:
         raise ValueError(f"tensor dims {y.dims} do not match the scheme's "
                          f"virtual dims {scheme.virtual_dims}")
-    if not scheme.interleaved:
-        return DenseTensor(scheme.dims, y.data)
-    perm = scheme._permutation()
-    arr = y.to_array().transpose(np.argsort(perm))
-    return DenseTensor(scheme.dims, arr.ravel(order="F"))
+    arr = y.to_array().transpose(np.argsort(scheme._permutation()))
+    return DenseTensor(scheme.dims, arr.ravel(order="F"), copy=False)
 
 
 def qtt_compress(x: DenseTensor, q: int = 2, eps: float = 0.0,
@@ -207,7 +203,7 @@ def storage_complexity(fmt: str, n: int, i: int, r: int, q: int = 2) -> int:
     if fmt == "ttm":
         return n * i * i * r * r
     if fmt == "qtt":
-        k = round(np.log(i) / np.log(q)) if i > 1 else 0
+        k = round(np.log(i) / np.log(q)) if i > 1 and q > 1 else 0
         if k < 1 or q ** k != i:
             raise ValueError(f"I = {i} is not a power of q = {q}")
         return n * k * q * r * r

@@ -202,47 +202,39 @@ def _mirror(cores: Sequence[np.ndarray]) -> list[np.ndarray]:
 
 
 def tt_svd(t: DenseTensor, eps: float | None = None,
-           max_ranks=None, sweep: str = "lr") -> TTModel:
+           max_ranks=None) -> TTModel:
     """TT-SVD: left-to-right truncated-SVD splits of the remainder matrix.
 
     ``eps`` in [0, 1) bounds the total relative error; the per-split budget is
     delta = eps |t|_F / sqrt(N-1).  ``max_ranks`` (scalar or per-bond list)
     caps ranks and takes precedence over ``eps`` where both bind; the active
     bound per split lands in ``meta['active_bounds']``.  The result is
-    left-canonical through site N-1.  ``sweep='rl'`` runs the mirrored
-    right-to-left sweep (right-canonical result).
+    left-canonical through site N-1.
     """
     if eps is None and max_ranks is None:
         raise ValueError("give eps and/or max_ranks")
     if eps is not None and not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
-    if sweep not in ("lr", "rl"):
-        raise ValueError(f"unknown sweep direction {sweep!r}")
     n_modes = t.order
     caps = _rank_caps(max_ranks, max(n_modes - 1, 0))
     delta = None
     if eps is not None:
         delta = eps * frobenius_norm(t) / sqrt(max(n_modes - 1, 1))
-    arr = t.to_array()
-    if sweep == "rl":
-        arr, caps = arr.T, caps[::-1]
-    dims = arr.shape
     cores = []
     bounds = []
     rank = 1
-    rem = arr.reshape(1, -1)
-    for n in range(n_modes - 1):
-        rem = rem.reshape(rank * dims[n], -1)
-        u, s = _left_factor(rem)
+    # C-order views of the canonical buffer are transposed remainders: rows
+    # run over the modes left to split, columns over (I_n, R_{n-1}), R fastest
+    rem_t = t.data
+    for n, dim in enumerate(t.dims[:-1]):
+        rem_t = rem_t.reshape(-1, dim * rank)
+        u, s = _left_factor(rem_t.T)
         r, which = _truncation_rank(s, delta, caps[n])
         bounds.append(which)
-        cores.append(u[:, :r].reshape(rank, dims[n], r))
-        rem = u[:, :r].T @ rem
+        cores.append(u[:, :r].reshape(dim, rank, r).transpose(1, 0, 2))
+        rem_t = rem_t @ u[:, :r]
         rank = r
-    cores.append(rem.reshape(rank, dims[-1], 1))
-    if sweep == "rl":
-        return TTModel(_mirror(cores), ortho_center=1,
-                       meta={"active_bounds": bounds[::-1]})
+    cores.append(rem_t.reshape(t.dims[-1], rank).T[:, :, None])
     return TTModel(cores, ortho_center=n_modes,
                    meta={"active_bounds": bounds})
 
@@ -266,22 +258,19 @@ def _default_pairing(order: int) -> list[tuple[int, int]]:
 
 def ttm_svd(t: DenseTensor, pairing: Sequence[tuple[int, int]] | None = None,
             eps: float | None = None, max_ranks=None) -> TTMatrixModel:
-    """TT/MPO construction: permute modes to the interleaved pair order,
-    run :func:`tt_svd` on the fused pairs, split each fused mode back."""
+    """TT/MPO construction: :func:`tt_svd` of the tensor whose modes fuse each
+    (row, col) pair with index i + I j, split back per core.  Only a pairing
+    other than the default permutes ``t``; the default relabels its buffer."""
     if pairing is None:
         pairing = _default_pairing(t.order)
     pairing = _check_pairing(pairing, t.order)
     perm = [m - 1 for p in pairing for m in p]
-    arr = t.to_array().transpose(perm)
-    fused_dims = [arr.shape[2 * n] * arr.shape[2 * n + 1]
-                  for n in range(len(pairing))]
-    fused = DenseTensor.from_array(arr.reshape(fused_dims))
-    mps = tt_svd(fused, eps=eps, max_ranks=max_ranks)
-    cores = []
-    for n, c in enumerate(mps.cores):
-        i_n = t.dims[pairing[n][0] - 1]
-        j_n = t.dims[pairing[n][1] - 1]
-        cores.append(c.reshape(c.shape[0], i_n, j_n, c.shape[2]))
+    data = t.to_array().transpose(perm).ravel(order="F")
+    fused_dims = [t.dims[p[0] - 1] * t.dims[p[1] - 1] for p in pairing]
+    mps = tt_svd(DenseTensor(fused_dims, data, copy=False), eps=eps,
+                 max_ranks=max_ranks)
+    cores = [c.reshape(c.shape[0], t.dims[j - 1], t.dims[i - 1], c.shape[2])
+             .transpose(0, 2, 1, 3) for c, (i, j) in zip(mps.cores, pairing)]
     return TTMatrixModel(cores, pairing, meta=dict(mps.meta))
 
 
@@ -323,25 +312,26 @@ def _check_cap(total: int, cap: int) -> None:
 
 
 def tt_reconstruct(m: TTModel, cap: int = DENSE_CAP) -> DenseTensor:
-    """Dense tensor via chained mode-(3, 1) contractions of the cores."""
+    """Dense tensor via chained contractions of the cores.  The mirrored
+    chain, contracted in C order, yields the canonical buffer directly."""
     _check_cap(prod(m.dims), cap)
-    arr = m.cores[0]
-    for c in m.cores[1:]:
-        arr = np.tensordot(arr, c, axes=([arr.ndim - 1], [0]))
-    return DenseTensor.from_array(arr.reshape(m.dims))
+    out = np.ones((1, 1))
+    for c in _mirror(m.cores):
+        out = (out @ c.reshape(c.shape[0], -1)).reshape(-1, c.shape[2])
+    return DenseTensor(m.dims, out, copy=False)
 
 
 def ttm_reconstruct(m: TTMatrixModel, cap: int = DENSE_CAP) -> DenseTensor:
-    """Dense order-2N tensor in the original mode order."""
-    dims = tuple(d for n in range(m.order)
-                 for d in (m.row_dims[n], m.col_dims[n]))
-    _check_cap(prod(dims), cap)
-    arr = m.cores[0]
-    for c in m.cores[1:]:
-        arr = np.tensordot(arr, c, axes=([arr.ndim - 1], [0]))
-    arr = arr.reshape(dims)  # interleaved pair order
-    flat = [mode for p in m.pairing for mode in p]
-    return DenseTensor.from_array(arr.transpose(np.argsort([f - 1 for f in flat])))
+    """Dense order-2N tensor in the original mode order: the TT/MPS of the
+    fused (row, col) pairs, index i + I j, relabelled.  Only a pairing other
+    than the default permutes the result."""
+    cores = [c.transpose(0, 2, 1, 3).reshape(c.shape[0], -1, c.shape[3])
+             for c in m.cores]
+    fused = tt_reconstruct(TTModel(cores), cap)
+    interleaved = [d for c in m.cores for d in c.shape[1:3]]
+    flat = [mode - 1 for p in m.pairing for mode in p]
+    arr = fused.data.reshape(interleaved, order="F").transpose(np.argsort(flat))
+    return DenseTensor(arr.shape, arr.ravel(order="F"), copy=False)
 
 
 def tt_outer_sum(m: TTModel, cap: int = DENSE_CAP) -> DenseTensor:
@@ -538,6 +528,8 @@ def tt_als(t: DenseTensor, ranks: Sequence[int] | int, *,
         raise ValueError(f"expected {n_modes - 1} ranks, got {len(ranks)}")
     if any(r < 1 for r in ranks):
         raise ValueError("ranks must be >= 1")
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     _check_rank_chain(ranks, dims)
     norm_t = frobenius_norm(t)
     if norm_t == 0.0:

@@ -10,7 +10,7 @@ import pytest
 
 from helpers import (drop_header_key, geometric_vector, noisy_cp_cube,
                      random_tt, set_header_value, well_conditioned_cp)
-from tenkit import io as tio
+from tenkit import cli, io as tio
 from tenkit.blockmodels import HOPTANode
 from tenkit.cli import BENCH_HEADER, main
 from tenkit.cpd import CPModel, cp_reconstruct
@@ -123,6 +123,42 @@ def test_decompose_usage_errors(tmp_path, capsys):
                            capsys)
         assert code == 2 and "must be >= 1" in err
         assert not (tmp_path / "x.cpm").exists()
+    for tol in ("nan", "-1e-10"):
+        code, _, err = run(["decompose", inp, "--format", "cpd", "--rank", "1",
+                            f"--tol={tol}", "--output",
+                            str(tmp_path / "x.cpm")], capsys)
+        assert code == 2 and "tol must be finite and >= 0" in err
+        assert not (tmp_path / "x.cpm").exists()
+
+
+@pytest.mark.parametrize("fmt,suffix", [("tt", "ttm"), ("tucker", "tkm"),
+                                        ("qtt", "ttm")])
+def test_decompose_all_zero_tensor_reports_zero_error(tmp_path, capsys, fmt,
+                                                      suffix):
+    inp = write_fixture(tmp_path, "z.dten", DenseTensor((4, 4, 4), np.zeros(64)))
+    code, stdout, err = run(["decompose", inp, "--format", fmt, "--eps", "0.1",
+                             "--output", str(tmp_path / f"z.{suffix}")],
+                            capsys)
+    assert code == 0, err
+    assert parse_report(stdout.splitlines()[0])["rel_error"] == "0.0"
+
+
+def test_decompose_fstd_all_zero_tensor_exit_2(tmp_path, capsys):
+    inp = write_fixture(tmp_path, "z.dten", DenseTensor((4, 4, 4), np.zeros(64)))
+    code, _, err = run(["decompose", inp, "--format", "fstd", "--rank",
+                        "2,2,2", "--output", str(tmp_path / "z.tkm")], capsys)
+    assert code == 2 and "cannot fit an all-zero tensor" in err
+
+
+def test_reconstruct_against_zero_tensor_reports_inf(tmp_path, capsys):
+    model = str(tmp_path / "m.ttm")
+    tio.write_tt(model, random_tt((3, 3, 3), (2, 2), seed=3))
+    zero = write_fixture(tmp_path, "z.dten", DenseTensor((3, 3, 3), np.zeros(27)))
+    code, stdout, err = run(["reconstruct", model, "--output",
+                             str(tmp_path / "r.dten"), "--against", zero],
+                            capsys)
+    assert code == 0, err
+    assert stdout.strip() == "rel_error=inf"
 
 
 def test_missing_input_exit_1(tmp_path, capsys):
@@ -230,6 +266,14 @@ def test_bench_csv_schema_and_params(tmp_path, capsys):
     # exact params follow the closed-form counters
     tucker_row = rows[1]
     assert int(tucker_row["exact_params"]) == 3 * 4 * 2 + 2 ** 3
+
+
+@pytest.mark.parametrize("dims", ["6,6,6", "3,3,3"])
+def test_bench_rejects_dims_before_any_fit(capsys, monkeypatch, dims):
+    monkeypatch.setattr(cli, "_bench_case",
+                        lambda *args: pytest.fail("a bench fit ran"))
+    code, _, err = run(["bench", "--dims", dims, "--q", "2"], capsys)
+    assert code == 2 and "is not a power of q = 2" in err
 
 
 def test_bench_tt_params_monotone_in_rank(tmp_path, capsys):

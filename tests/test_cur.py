@@ -160,3 +160,7 @@ def test_fstd_validation():
         fstd(t2, counts=(2, 2), indices=[[1], [1]])
     with pytest.raises(ValueError, match="index lists"):
         fstd(t2, indices=[[1], [1], [1]])
+    zero = DenseTensor((3, 3, 3), np.zeros(27))
+    for kwargs in ({"counts": (2, 2, 2)}, {"indices": [[1], [2], [3]]}):
+        with pytest.raises(ValueError, match="cannot fit an all-zero tensor"):
+            fstd(zero, **kwargs)

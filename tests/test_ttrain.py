@@ -3,6 +3,7 @@ rounding, ALS and MALS sweeps, strong-Kronecker chains, storage counts."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import random_tt
 from tenkit.dense import (BIG_ENDIAN, DenseTensor, UnfoldingSpec,
@@ -30,6 +31,10 @@ def separable_tensor(seed=1, dims=(4, 3, 5)):
 
 def rel_err(t, m):
     return np.linalg.norm(t.data - tt_reconstruct(m).data) / frobenius_norm(t)
+
+
+_property = settings(max_examples=60, deadline=None, derandomize=True,
+                     database=None)
 
 
 def test_tt_svd_exact_rank_recovery():
@@ -71,12 +76,17 @@ def test_tt_svd_rank_caps_take_precedence():
         tt_svd(t, eps=1.5)
 
 
-def test_tt_svd_right_to_left_flag():
-    t = fixture_tensor(seed=4)
-    m = tt_svd(t, eps=1e-12, sweep="rl")
-    assert m.ranks == (3, 4, 5)
+@pytest.mark.parametrize("dims", [(7,), (1,), (1, 1, 1), (1, 5, 1),
+                                  (4, 1, 3), (1, 3, 1, 2)])
+def test_tt_svd_order_one_and_unit_dims(dims):
+    t = DenseTensor.from_array(np.random.default_rng(list(dims))
+                               .standard_normal(dims))
+    m = tt_svd(t, eps=1e-12)
+    assert m.dims == dims
+    assert m.ranks == tuple(min(np.prod(dims[:k]), np.prod(dims[k:]))
+                            for k in range(1, len(dims)))
     assert rel_err(t, m) <= 1e-12
-    assert m.ortho_center == 1
+    assert m.ortho_center == len(dims)
     assert m.verify_orthogonality()
 
 
@@ -103,6 +113,26 @@ def test_tt_reconstruct_single_core():
     core = np.random.default_rng(8).standard_normal((1, 7, 1))
     m = TTModel([core])
     assert np.allclose(tt_reconstruct(m).data, core[0, :, 0], rtol=0, atol=0)
+
+
+@_property
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_tt_reconstruct_matches_einsum_chain(data, seed):
+    order = data.draw(st.integers(1, 6))
+    dims = data.draw(st.lists(st.integers(1, 4), min_size=order,
+                              max_size=order))
+    ranks = data.draw(st.lists(st.integers(1, 3), min_size=order - 1,
+                               max_size=order - 1))
+    m = random_tt(dims, ranks, seed)
+    # labels 0..N-1 are the modes, N..2N the bonds
+    operands = []
+    for n, c in enumerate(m.cores):
+        operands += [c, [order + n, n, order + n + 1]]
+    want = np.einsum(*operands, list(range(order)))
+    got = tt_reconstruct(m)
+    assert got.dims == tuple(dims)
+    assert np.linalg.norm(got.to_array() - want) <= \
+        1e-13 * np.linalg.norm(want)
 
 
 def test_tt_reconstruct_cap():
@@ -236,6 +266,12 @@ def test_tt_als_infeasible_ranks():
         tt_als(t, (9, 2), max_sweeps=1)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1e-12, float("inf")])
+def test_tt_als_rejects_a_tol_that_cannot_stop(tol):
+    with pytest.raises(ValueError, match="tol must be finite"):
+        tt_als(separable_tensor(), 1, tol=tol)
+
+
 def test_tt_mals_rank_adaptation_recovers_fixture():
     t = fixture_tensor(seed=23)
     m = tt_mals(t, eps=1e-8, max_sweeps=6, seed=0)
@@ -352,6 +388,43 @@ def test_ttm_svd_explicit_pairing():
         ttm_svd(t, pairing=[(1, 2), (2, 4)])
     with pytest.raises(ValueError):
         ttm_svd(DenseTensor.from_array(rng.standard_normal((2, 2, 2))))
+
+
+@_property
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_ttm_round_trips_under_random_pairings(data, seed):
+    n_pairs = data.draw(st.integers(1, 3))
+    dims = tuple(data.draw(st.lists(st.integers(1, 3), min_size=2 * n_pairs,
+                                    max_size=2 * n_pairs)))
+    modes = data.draw(st.permutations(range(1, 2 * n_pairs + 1)))
+    pairing = [(modes[2 * k], modes[2 * k + 1]) for k in range(n_pairs)]
+    rng = np.random.default_rng(seed)
+    # ttm_reconstruct against an einsum over the pairing's mode labels
+    ranks = [1] + [int(r) for r in rng.integers(1, 4, n_pairs - 1)] + [1]
+    cores = [rng.standard_normal((ranks[k], dims[i - 1], dims[j - 1],
+                                  ranks[k + 1]))
+             for k, (i, j) in enumerate(pairing)]
+    operands = []
+    for k, (c, (i, j)) in enumerate(zip(cores, pairing)):
+        operands += [c, [2 * n_pairs + k, i - 1, j - 1, 2 * n_pairs + k + 1]]
+    want = np.einsum(*operands, list(range(2 * n_pairs)))
+    got = ttm_reconstruct(TTMatrixModel(cores, pairing))
+    assert got.dims == dims
+    assert np.linalg.norm(got.to_array() - want) <= \
+        1e-13 * np.linalg.norm(want)
+    # ttm_svd -> ttm_reconstruct reproduces the tensor; entries agree with
+    # the slice products of the cores
+    t = DenseTensor.from_array(rng.standard_normal(dims))
+    m = ttm_svd(t, pairing=pairing, eps=0.0)
+    assert m.pairing == pairing
+    assert m.row_dims == tuple(dims[i - 1] for i, _ in pairing)
+    assert m.col_dims == tuple(dims[j - 1] for _, j in pairing)
+    rec = ttm_reconstruct(m)
+    assert rec.dims == dims
+    assert np.linalg.norm(rec.data - t.data) <= 1e-12 * frobenius_norm(t)
+    idx = [int(rng.integers(1, d + 1)) for d in dims]
+    assert np.isclose(ttm_element(m, idx), t.element(*idx), rtol=1e-12,
+                      atol=1e-12)
 
 
 def test_ttm_strong_kron_matches_grouped_unfolding():
