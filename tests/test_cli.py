@@ -242,6 +242,17 @@ def test_round_command(tmp_path, capsys):
     assert parse_report(stdout.splitlines()[0])["ranks_after"] == "2,2"
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf", "-0.1"])
+def test_round_bad_eps_exit_2(tmp_path, capsys, eps):
+    model_path = str(tmp_path / "m.ttm")
+    tio.write_tt(model_path, random_tt((3, 3, 3), (2, 2), seed=6))
+    out = tmp_path / "r.ttm"
+    code, _, err = run(["round", model_path, f"--eps={eps}", "--output",
+                        str(out)], capsys)
+    assert code == 2 and "eps must be finite and >= 0" in err
+    assert not out.exists()
+
+
 def test_round_non_tt_input_exit_2(tmp_path, capsys):
     t = DenseTensor((4, 4), np.arange(16.0))
     inp = write_fixture(tmp_path, "t.dten", t)

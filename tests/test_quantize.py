@@ -132,6 +132,21 @@ def test_qtt_sum_of_geometrics_rank_bound():
     assert max(model3.ranks) <= 3
 
 
+@pytest.mark.parametrize("signal,bound", [
+    (lambda x: np.exp(-2.0 * x), 1),
+    (lambda x: np.sin(30.0 * x + 1.0) + np.cos(17.0 * x), 4),
+    (lambda x: 1.0 - 0.7 * x + 0.9 * x ** 2 - 0.8 * x ** 3, 4),
+], ids=["exp", "sin+cos", "cubic"])
+def test_qtt_long_signal_rank_bound(signal, bound):
+    # 2^18 samples: the first split factors a 2^17 x 2 transpose by the
+    # blocked tall-skinny QR, and on sin+cos and cubic so does the second
+    x = DenseTensor((2 ** 18,), 1.3 * signal(np.arange(2 ** 18) / 2 ** 18))
+    model, scheme = qtt_compress(x, q=2, eps=1e-12)
+    assert max(model.ranks) <= bound
+    back = qtt_decompress(model, scheme)
+    assert np.linalg.norm(back.data - x.data) <= 1e-12 * frobenius_norm(x)
+
+
 def test_qtt_random_vector_honest_report():
     rng = np.random.default_rng(4)
     x = DenseTensor((2 ** 8,), rng.standard_normal(2 ** 8))

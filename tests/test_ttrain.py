@@ -5,15 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_tt
+from helpers import noisy_cp_cube, random_tt
+from tenkit.cpd import cp_als
 from tenkit.dense import (BIG_ENDIAN, DenseTensor, UnfoldingSpec,
-                          frobenius_norm, unfold_general, vectorize)
+                          frobenius_norm, unfold, unfold_general, vectorize)
 from tenkit.ttrain import (TTMatrixModel, TTModel, _left_factor, tt_als,
                            tt_element, tt_mals, tt_norm, tt_orthogonalize,
                            tt_outer_sum, tt_reconstruct, tt_round, tt_storage,
                            tt_svd, tt_to_strong_kron, ttm_element,
                            ttm_reconstruct, ttm_storage, ttm_svd,
                            ttm_to_strong_kron)
+from tenkit.tucker import hosvd, tucker_reconstruct
 
 
 def fixture_tensor(seed=0, dims=(6, 6, 6, 6), ranks=(3, 4, 5)):
@@ -237,6 +239,13 @@ def test_tt_round_rank_caps():
     m = random_tt((5, 5, 5), (4, 4), seed=18)
     rounded = tt_round(m, eps=0.0, max_ranks=[2, 3])
     assert rounded.ranks == (2, 3)
+
+
+@pytest.mark.parametrize("eps", [-1e-3, float("nan"), float("inf")])
+def test_tt_round_rejects_bad_eps(eps):
+    m = random_tt((3, 3, 3), (2, 2), seed=18)
+    with pytest.raises(ValueError, match="eps must be finite and >= 0"):
+        tt_round(m, eps=eps)
 
 
 def test_tt_als_exact_rank_target():
@@ -523,11 +532,21 @@ def test_tt_mals_custom_splitter_hook():
     ((6, 50), 2), ((50, 6), 3), ((7, 7), 4),               # rank-deficient
     ((4, 9), 0), ((9, 4), 0),                              # all zero
     ((1, 30), None), ((30, 1), None),
+    # transposes of two or more row blocks of the tall-skinny QR, with rows
+    # left over that fill no block
+    ((3, 100003), None), ((128, 2125), None),
+    ((16, 20000), 3), ((8, 40000), 0),
+    ((32, 20000), "graded"),                # singular values 1 .. 1e-15
 ])
 def test_left_factor_matches_svd(shape, rank):
     rng = np.random.default_rng(list(shape))
     if rank is None:
         mat = rng.standard_normal(shape)
+    elif rank == "graded":
+        k = min(shape)
+        left = np.linalg.qr(rng.standard_normal((shape[0], k)))[0]
+        right = np.linalg.qr(rng.standard_normal((shape[1], k)))[0]
+        mat = (left * np.logspace(0, -15, k)) @ right.T
     else:
         mat = (rng.standard_normal((shape[0], rank))
                @ rng.standard_normal((rank, shape[1])))
@@ -544,3 +563,55 @@ def test_left_factor_matches_svd(shape, rank):
         if s0[j - 1] - below > 1e-6 * smax:
             p, p0 = u[:, :j] @ u[:, :j].T, u0[:, :j] @ u0[:, :j].T
             assert np.allclose(p, p0, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("shape,calls", [
+    # 5000 x 64 transpose: two blocks of 2048 rows, 904 left over
+    ((64, 5000), [("qr", (2, 2048, 64)), ("qr", (2 * 64 + 904, 64)),
+                  ("svd", (64, 64))]),
+    # fewer than two blocks: one QR of the whole transpose
+    ((64, 4000), [("qr", (4000, 64)), ("svd", (64, 64))]),
+    ((40, 30), [("svd", (40, 30))]),        # not wide: direct SVD
+])
+def test_left_factor_calls(monkeypatch, shape, calls):
+    # the blocks are factored by one stacked QR, their triangles and the
+    # leftover rows by one more, and the SVD sees only the n x n triangle
+    seen = []
+
+    def spy(name, fn):
+        def wrapped(a, *args, **kwargs):
+            seen.append((name, a.shape))
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "qr", spy("qr", np.linalg.qr))
+    monkeypatch.setattr(np.linalg, "svd", spy("svd", np.linalg.svd))
+    _left_factor(np.random.default_rng(0).standard_normal(shape))
+    assert seen == calls
+
+
+def test_left_factor_blocked_is_deterministic():
+    # model containers must be byte-identical whenever the input is
+    mat = np.random.default_rng(7).standard_normal((6, 300001))
+    u, s = _left_factor(mat)
+    for again in (mat, mat.copy()):
+        u2, s2 = _left_factor(again)
+        assert u2.tobytes() == u.tobytes() and s2.tobytes() == s.tobytes()
+
+
+@pytest.mark.parametrize("noise", [1e-4, 0.0])
+def test_fitters_on_blocked_unfoldings(noise):
+    # every 64 x 4096 unfolding of a 64^3 cube takes the blocked QR
+    t, _ = noisy_cp_cube(64, seed=5, noise=noise)
+    x = t.to_array()
+    norm = np.linalg.norm(x)
+    for eps in (1e-3, 1e-6):
+        err = np.linalg.norm(tucker_reconstruct(hosvd(t, eps=eps)).to_array() - x)
+        assert err <= eps * norm
+        err = np.linalg.norm(tt_reconstruct(tt_svd(t, eps=eps)).to_array() - x)
+        assert err <= eps * norm
+    mode_ranks = [np.linalg.matrix_rank(unfold(t, n)) for n in (1, 2, 3)]
+    assert mode_ranks == ([64] * 3 if noise else [4] * 3)
+    for rank in (4, 5):
+        _, diag = cp_als(t, rank, max_iters=1, seed=0)
+        assert diag.overfactored == any(rank > r for r in mode_ranks)
