@@ -334,14 +334,36 @@ def _check_cap(total: int, cap: int) -> None:
                          f"the cap of {cap}")
 
 
-def tt_reconstruct(m: TTModel, cap: int = DENSE_CAP) -> DenseTensor:
-    """Dense tensor via chained contractions of the cores.  The mirrored
-    chain, contracted in C order, yields the canonical buffer directly."""
-    _check_cap(prod(m.dims), cap)
-    out = np.ones((1, 1))
-    for c in _mirror(m.cores):
+def _contract_chain(out: np.ndarray, cores: Sequence[np.ndarray]) -> np.ndarray:
+    """``out`` (M, R) times the chain ``cores`` in C order: (M prod I, R')."""
+    for c in cores:
         out = (out @ c.reshape(c.shape[0], -1)).reshape(-1, c.shape[2])
-    return DenseTensor(m.dims, out, copy=False)
+    return out
+
+
+def tt_reconstruct(m: TTModel, cap: int = DENSE_CAP) -> DenseTensor:
+    """Dense tensor, contracted from both ends of the chain to the middle.
+
+    The chain is cut at the first bond k where I_1 ... I_k reaches
+    sqrt(size).  The mirrored chain's sites N..k+1, contracted in C order
+    from a 1 x 1 one, give the (I_N ... I_{k+1}, R_k) matrix; its sites
+    k..1, contracted from the R_k x R_k identity, give the
+    (R_k, I_k ... I_1) one.  One GEMM of the two writes the canonical
+    buffer.  The intermediates hold O(R^2 I sqrt(size)) scalars, not the
+    O(R size) of a chain contracted from one end, and the output is written
+    once, at R_k multiply-adds per entry.
+    """
+    dims = m.dims
+    size = prod(dims)
+    _check_cap(size, cap)
+    k = 0
+    while prod(dims[:k]) ** 2 < size:
+        k += 1
+    mirrored = _mirror(m.cores)
+    right = _contract_chain(np.ones((1, 1)), mirrored[:m.order - k])
+    left = _contract_chain(np.eye(right.shape[1]), mirrored[m.order - k:])
+    return DenseTensor(dims, right @ left.reshape(right.shape[1], -1),
+                       copy=False)
 
 
 def ttm_reconstruct(m: TTMatrixModel, cap: int = DENSE_CAP) -> DenseTensor:
@@ -474,31 +496,38 @@ def _half_sweep(arr: np.ndarray, cores: list, caps: Sequence[int | None],
 
     ``cores`` must be right-orthogonal from site 2 on and ``arr`` is the
     tensor as a C-contiguous array with one axis per site, so every reshape
-    below is a view.  Each window is set to the projection of ``arr`` onto
-    the orthonormal interfaces and split by ``split(mat, cap)`` into
-    (left, rest) with orthonormal left columns.  The next window replaces
-    ``rest`` except after the last window, which keeps it.  The
-    orthogonality center ends on the last site.
+    below is a view.  The sweep carries ``w``, the tensor projected onto the
+    orthonormal left cores so far, as an (R_{n-1}, I_n ... I_N) matrix that
+    starts as ``arr`` itself.  Each window's local core is one GEMM of ``w``
+    with the window's right interface, and ``split(mat, cap)`` splits it
+    into (left, rest) with orthonormal left columns.  One more GEMM projects
+    ``w`` onto the new left core, which shrinks it by I_n / R_n.  So the
+    full tensor is read only by the first window's two GEMMs: window n costs
+    about 2 R_{n-1} R' size / (I_1 ... I_{n-1}) multiply-adds, R' its right
+    bond, which falls geometrically once I_1 ... I_{n-1} outgrows the ranks.
+    A half-sweep costs O(R size) plus the right interfaces, not the
+    O(N R size) of contracting the whole tensor at every site.  The next
+    window replaces ``rest`` except after the last window, which keeps it.
+    The orthogonality center ends on the last site.
     """
     n_modes = len(cores)
     dims = arr.shape
     renvs = _right_interfaces(cores)
-    left = np.ones((1, 1))
+    w = arr.reshape(1, -1)
     for n in range(n_modes - width + 1):
         renv = renvs[n + width]
-        mat = arr.reshape(left.shape[0], -1, renv.shape[1])
-        w = np.einsum("pr,pxq,sq->rxs", left, mat, renv, optimize=True)
+        rank = w.shape[0]
+        local = w.reshape(-1, renv.shape[1]) @ renv.T
         last = n == n_modes - width
         if last and width == 1:
-            cores[n] = w
+            cores[n] = local.reshape(rank, dims[n], 1)
             return
-        a, rest = split(w.reshape(w.shape[0] * dims[n], -1), caps[n])
-        cores[n] = a.reshape(w.shape[0], dims[n], a.shape[1])
+        a, rest = split(local.reshape(rank * dims[n], -1), caps[n])
+        cores[n] = a.reshape(rank, dims[n], a.shape[1])
         if last:
             cores[n + 1] = rest.reshape(a.shape[1], dims[n + 1], 1)
             return
-        left = np.tensordot(left, cores[n], axes=(1, 0))
-        left = left.reshape(-1, a.shape[1])
+        w = a.T @ w.reshape(rank * dims[n], -1)
 
 
 def _sweeps(t: DenseTensor, norm_t: float, cores: list, width: int,
@@ -509,6 +538,8 @@ def _sweeps(t: DenseTensor, norm_t: float, cores: list, width: int,
     chain.  The relative residual is recorded after every half-sweep; the
     sweeps stop once it is <= ``target`` or moved by less than ``tol`` over
     the last two half-sweeps."""
+    # the left-to-right half needs a C-order copy; the mirrored half reads
+    # the canonical buffer as it is, so only one layout path is needed
     views = (np.ascontiguousarray(t.to_array()), t.to_array().T)
     history = []
     flipped = False
@@ -526,6 +557,20 @@ def _sweeps(t: DenseTensor, norm_t: float, cores: list, width: int,
                    meta={"residual_history": history})
 
 
+def _fit_norm(t: DenseTensor, max_sweeps: int) -> float:
+    """|t|_F, checked to be finite and nonzero, after checking that
+    ``max_sweeps`` >= 0: the checks both sweeps make before the first."""
+    if max_sweeps < 0:
+        raise ValueError(f"max_sweeps must be >= 0, got {max_sweeps}")
+    norm_t = frobenius_norm(t)
+    if not np.isfinite(norm_t):
+        raise ValueError(f"the Frobenius norm of the tensor is {norm_t}; "
+                         f"the sweeps need a finite one")
+    if norm_t == 0.0:
+        raise ValueError("cannot fit an all-zero tensor")
+    return norm_t
+
+
 def tt_als(t: DenseTensor, ranks: Sequence[int] | int, *,
            max_sweeps: int = 20, tol: float = 1e-12, seed=None,
            cap: int = DENSE_CAP) -> TTModel:
@@ -533,14 +578,19 @@ def tt_als(t: DenseTensor, ranks: Sequence[int] | int, *,
 
     With the complement held in mixed-canonical form, the optimal core at each
     site is the projection of ``t`` onto the orthonormal left/right
-    interfaces, and a QR split moves the orthogonality center on.  The
+    interfaces, and a QR split moves the orthogonality center on.  Each
+    half-sweep carries the tensor projected onto the left cores so far,
+    which shrinks site by site (see :func:`_half_sweep`), so only its first
+    site touches the full tensor and it costs O(R size), not O(N R size);
+    the dense residual after it costs one :func:`tt_reconstruct`.  The
     relative residual is recorded after every half-sweep in
     ``meta['residual_history']`` and is non-increasing up to roundoff.  The
     sweeps stop after the first half-sweep whose residual is 0 or differs by
     less than ``tol`` from the one two half-sweeps before, or after
     ``max_sweeps`` full sweeps.  ``ortho_center`` is where the last
     half-sweep left the center: site N after a left-to-right half, site 1
-    after a right-to-left half or when ``max_sweeps`` is 0.
+    after a right-to-left half or when ``max_sweeps`` is 0.  A negative
+    ``max_sweeps`` or a tensor of zero or non-finite norm raises ValueError.
     """
     dims = t.dims
     n_modes = t.order
@@ -554,9 +604,7 @@ def tt_als(t: DenseTensor, ranks: Sequence[int] | int, *,
     if not (np.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
     _check_rank_chain(ranks, dims)
-    norm_t = frobenius_norm(t)
-    if norm_t == 0.0:
-        raise ValueError("cannot fit an all-zero tensor")
+    norm_t = _fit_norm(t, max_sweeps)
     rng = np.random.default_rng(seed)
     chain = [1] + ranks + [1]
     cores = [rng.standard_normal((chain[n], dims[n], chain[n + 1]))
@@ -581,6 +629,9 @@ def tt_mals(t: DenseTensor, eps: float, *, max_sweeps: int = 10,
     Neighboring cores are merged into a supercore, set to the projection of
     ``t`` onto the orthonormal interfaces, and split back by a truncated SVD
     at the local tolerance eps |t|_F / sqrt(N-1); bond ranks adapt both ways.
+    As in :func:`tt_als`, each half-sweep carries the shrinking projected
+    tensor, so only its first window touches the full tensor and it costs
+    O(R size) plus the splits; the dense residual after it costs one :func:`tt_reconstruct`.
     Starts from a random rank-1 chain.  ``splitter(mat, delta, cap)`` may
     replace the SVD split (e.g. a nonnegative factorization); it must return
     (left, right) with orthonormal left columns.  The relative residual is
@@ -589,16 +640,15 @@ def tt_mals(t: DenseTensor, eps: float, *, max_sweeps: int = 10,
     differs by less than 1e-14 from the one two half-sweeps before, or after
     ``max_sweeps`` full sweeps.  ``ortho_center`` is where the last
     half-sweep left the center: site N after a left-to-right half, site 1
-    after a right-to-left half or when ``max_sweeps`` is 0.
+    after a right-to-left half or when ``max_sweeps`` is 0.  A negative
+    ``max_sweeps`` or a tensor of zero or non-finite norm raises ValueError.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     n_modes = t.order
     if n_modes < 2:
         raise ValueError("MALS needs an order >= 2 tensor")
-    norm_t = frobenius_norm(t)
-    if norm_t == 0.0:
-        raise ValueError("cannot fit an all-zero tensor")
+    norm_t = _fit_norm(t, max_sweeps)
     caps = _rank_caps(max_ranks, n_modes - 1)
     split = splitter or _svd_splitter
     delta = eps * norm_t / sqrt(n_modes - 1)

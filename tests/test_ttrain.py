@@ -1,6 +1,9 @@
 """Tensor trains: TT-SVD, MPO construction, representations, canonical forms,
 rounding, ALS and MALS sweeps, strong-Kronecker chains, storage counts."""
 
+import tracemalloc
+from math import prod
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +12,9 @@ from helpers import noisy_cp_cube, random_tt
 from tenkit.cpd import cp_als
 from tenkit.dense import (BIG_ENDIAN, DenseTensor, UnfoldingSpec,
                           frobenius_norm, unfold, unfold_general, vectorize)
-from tenkit.ttrain import (TTMatrixModel, TTModel, _left_factor, tt_als,
+from tenkit.quantize import QuantizationScheme, qtt_decompress
+from tenkit.ttrain import (TTMatrixModel, TTModel, _half_sweep, _left_factor,
+                           _right_interfaces, _svd_splitter, tt_als,
                            tt_element, tt_mals, tt_norm, tt_orthogonalize,
                            tt_outer_sum, tt_reconstruct, tt_round, tt_storage,
                            tt_svd, tt_to_strong_kron, ttm_element,
@@ -120,21 +125,62 @@ def test_tt_reconstruct_single_core():
 @_property
 @given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
 def test_tt_reconstruct_matches_einsum_chain(data, seed):
-    order = data.draw(st.integers(1, 6))
+    # ranks up to 6 over dims up to 4: the bond where the two halves meet
+    # can be wider than either half
+    order = data.draw(st.integers(1, 8))
     dims = data.draw(st.lists(st.integers(1, 4), min_size=order,
                               max_size=order))
-    ranks = data.draw(st.lists(st.integers(1, 3), min_size=order - 1,
+    ranks = data.draw(st.lists(st.integers(1, 6), min_size=order - 1,
                                max_size=order - 1))
     m = random_tt(dims, ranks, seed)
     # labels 0..N-1 are the modes, N..2N the bonds
     operands = []
     for n, c in enumerate(m.cores):
         operands += [c, [order + n, n, order + n + 1]]
-    want = np.einsum(*operands, list(range(order)))
+    want = np.einsum(*operands, list(range(order)), optimize=True)
+    scale = np.linalg.norm(want)
     got = tt_reconstruct(m)
     assert got.dims == tuple(dims)
-    assert np.linalg.norm(got.to_array() - want) <= \
-        1e-13 * np.linalg.norm(want)
+    assert np.linalg.norm(got.to_array() - want) <= 1e-13 * scale
+    # the same chain as a TT/MPO: sites 2k-1 and 2k fuse into core k, with
+    # (row, col) = (2k-1, 2k) or swapped; an odd last site gets a unit column
+    cores = list(m.cores) + ([np.ones((1, 1, 1))] if order % 2 else [])
+    fused = [np.tensordot(a, b, axes=(2, 0))
+             for a, b in zip(cores[::2], cores[1::2])]
+    ttm_want = want.reshape(want.shape + (1,) * (order % 2))
+    for swap in (False, True):
+        mpo = TTMatrixModel(
+            [c.transpose(0, 2, 1, 3) if swap else c for c in fused],
+            [(2 * k + 2, 2 * k + 1) if swap else (2 * k + 1, 2 * k + 2)
+             for k in range(len(fused))])
+        rec = ttm_reconstruct(mpo)
+        assert rec.dims == ttm_want.shape
+        assert np.linalg.norm(rec.to_array() - ttm_want) <= 1e-13 * scale
+    # the same chain as the QTT of a vector: the first virtual mode is the
+    # fastest digit, so the vector is the tensor in first-index-fastest order;
+    # a factor 1 is only allowed for a mode of size 1, so unit dims keep one
+    # mode per site
+    if 1 in dims and len(dims) > 1:
+        scheme = QuantizationScheme(dims, [(d,) for d in dims])
+    else:
+        scheme = QuantizationScheme((prod(dims),), (tuple(dims),))
+    vec = qtt_decompress(m, scheme)
+    assert vec.dims == scheme.dims
+    assert np.linalg.norm(vec.data - want.ravel(order="F")) <= 1e-13 * scale
+
+
+def test_tt_reconstruct_allocates_little_beyond_its_output():
+    # a rank-4 QTT of 2^16 entries: a chain from one end holds a 2^15 x 4
+    # intermediate, twice the output; the halves are 2^8 x 4 each
+    m = random_tt((2,) * 16, (4,) * 15, seed=41)
+    out_bytes = 8 * 2 ** 16
+    tracemalloc.start()
+    try:
+        tt_reconstruct(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= out_bytes + 2 ** 16
 
 
 def test_tt_reconstruct_cap():
@@ -279,6 +325,124 @@ def test_tt_als_infeasible_ranks():
 def test_tt_als_rejects_a_tol_that_cannot_stop(tol):
     with pytest.raises(ValueError, match="tol must be finite"):
         tt_als(separable_tensor(), 1, tol=tol)
+
+
+@pytest.mark.parametrize("fit", [
+    lambda t, n: tt_als(t, 1, max_sweeps=n),
+    lambda t, n: tt_mals(t, eps=1e-2, max_sweeps=n),
+], ids=["als", "mals"])
+def test_sweeps_reject_negative_max_sweeps(fit):
+    with pytest.raises(ValueError, match="max_sweeps must be >= 0"):
+        fit(separable_tensor(), -1)
+
+
+@pytest.mark.parametrize("fit", [
+    lambda t: tt_als(t, 1), lambda t: tt_mals(t, eps=1e-2),
+], ids=["als", "mals"])
+@pytest.mark.parametrize("bad", ["all-nan", "one-inf"])
+def test_sweeps_reject_non_finite_input(fit, bad):
+    x = separable_tensor().to_array().copy()
+    if bad == "all-nan":
+        x[...] = np.nan
+    else:
+        x[1, 2, 3] = np.inf
+    with pytest.raises(ValueError, match="norm of the tensor is (nan|inf)"):
+        fit(DenseTensor.from_array(x))
+
+
+def _einsum_half_sweep(arr, cores, caps, width, split):
+    """The half-sweep as first written, kept as the reference: every window
+    contracts the whole tensor with explicit left and right interfaces."""
+    n_modes = len(cores)
+    dims = arr.shape
+    renvs = _right_interfaces(cores)
+    left = np.ones((1, 1))
+    for n in range(n_modes - width + 1):
+        renv = renvs[n + width]
+        mat = arr.reshape(left.shape[0], -1, renv.shape[1])
+        w = np.einsum("pr,pxq,sq->rxs", left, mat, renv, optimize=True)
+        last = n == n_modes - width
+        if last and width == 1:
+            cores[n] = w
+            return
+        a, rest = split(w.reshape(w.shape[0] * dims[n], -1), caps[n])
+        cores[n] = a.reshape(w.shape[0], dims[n], a.shape[1])
+        if last:
+            cores[n + 1] = rest.reshape(a.shape[1], dims[n + 1], 1)
+            return
+        left = np.tensordot(left, cores[n], axes=(1, 0))
+        left = left.reshape(-1, a.shape[1])
+
+
+@_property
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_half_sweep_matches_einsum_formulation(data, seed):
+    # width 1 with the QR split of ALS, width 2 with the truncated SVD split
+    # of MALS under per-bond caps; dims include 1
+    order = data.draw(st.integers(2, 6))
+    dims = data.draw(st.lists(st.integers(1, 4), min_size=order,
+                              max_size=order))
+    ranks = data.draw(st.lists(st.integers(1, 4), min_size=order - 1,
+                               max_size=order - 1))
+    width = data.draw(st.sampled_from([1, 2]))
+    arr = np.random.default_rng(seed).standard_normal(dims)
+    if width == 1:
+        caps = [None] * (order - 1)
+
+        def split(mat, _):
+            return np.linalg.qr(mat)
+    else:
+        caps = data.draw(st.lists(st.one_of(st.none(), st.integers(1, 4)),
+                                  min_size=order - 1, max_size=order - 1))
+        delta = data.draw(st.sampled_from([0.0, 1e-3, 0.3])) * \
+            np.linalg.norm(arr) / np.sqrt(order - 1)
+
+        def split(mat, cap):
+            return _svd_splitter(mat, delta, cap)
+    start = tt_orthogonalize(random_tt(dims, ranks, seed), 1).cores
+    got, want = list(start), list(start)
+    _half_sweep(arr, got, caps, width, split)
+    _einsum_half_sweep(arr, want, caps, width, split)
+    assert [c.shape for c in got] == [c.shape for c in want]
+    scale = np.linalg.norm(arr)
+    for g, w in zip(got, want):
+        assert np.allclose(g, w, rtol=0, atol=1e-11 * scale)
+    diff = tt_reconstruct(TTModel(got)).data - tt_reconstruct(TTModel(want)).data
+    assert np.linalg.norm(diff) <= 1e-12 * scale
+
+
+def test_sweeps_make_no_einsum_calls(monkeypatch):
+    calls = []
+    einsum = np.einsum
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    t = fixture_tensor(seed=19, dims=(5, 5, 5, 5), ranks=(2, 3, 2))
+    tt_als(t, (2, 3, 2), max_sweeps=2, tol=0.0, seed=0)
+    tt_mals(t, eps=1e-8, max_sweeps=2, seed=0)
+    assert calls == []
+    np.einsum("ii", np.eye(2))  # the spy sees calls through numpy
+    assert calls == ["ii"]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_tt_als_residual_monotone_on_bench_shaped_input(seed):
+    # as in the benchmark's TT sweeps, at order 8: a rank-6 TT of mode 4
+    # plus noise at 1e-3, fitted at its true ranks for three full sweeps
+    sites = 8
+    ranks = [min(6, 4 ** k, 4 ** (sites - k)) for k in range(1, sites)]
+    clean = tt_reconstruct(random_tt((4,) * sites, ranks, seed)).to_array()
+    noise = np.random.default_rng(seed + 100).standard_normal(clean.shape)
+    noise *= 1e-3 * np.linalg.norm(clean) / np.linalg.norm(noise)
+    t = DenseTensor.from_array(clean + noise)
+    hist = tt_als(t, ranks, max_sweeps=3, tol=0.0, seed=seed) \
+        .meta["residual_history"]
+    assert len(hist) == 6
+    assert all(b <= a * (1 + 1e-12) for a, b in zip(hist, hist[1:]))
+    assert hist[-1] <= 2e-3
 
 
 def test_tt_mals_rank_adaptation_recovers_fixture():
