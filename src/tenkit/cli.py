@@ -85,6 +85,9 @@ def _check_distinct(*paths) -> None:
 
 def cmd_decompose(args) -> int:
     _check_distinct(args.input, args.output)
+    if args.blocks is not None and args.format != "tucker":
+        raise JobSpecError(f"--blocks applies only to --format tucker, "
+                           f"not {args.format}")
     t = tio.read_dense(args.input)
     ranks = _int_list(args.rank) if args.rank is not None else None
     if (ranks is None) == (args.eps is None):
@@ -294,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", help="comma-separated rank spec")
     p.add_argument("--eps", type=float)
     p.add_argument("--q", type=int, default=2)
-    p.add_argument("--blocks", help="block grid for block-wise Tucker cores")
+    p.add_argument("--blocks", help="block grid for block-wise Tucker cores "
+                                    "(--format tucker only)")
     p.add_argument("--max-iters", type=int, default=200, dest="max_iters")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--n-starts", type=int, default=1, dest="n_starts")

@@ -11,7 +11,7 @@ import numpy as np
 
 from .dense import DenseTensor, frobenius_norm, unfold
 from .ops import khatri_rao
-from .ttrain import _left_factor
+from .ttrain import _left_factor, _numerical_rank
 
 _GRAM_CUTOFF = 1e-12  # relative eigenvalue cutoff for the R x R Gram pseudo-inverse
 _EPS = np.finfo(np.float64).eps
@@ -217,7 +217,7 @@ def cp_als(t: DenseTensor, rank: int, *, max_iters: int = 200,
         x = unfold(t, n)
         u, sig = _left_factor(x)
         lefts.append(u)
-        ranks_n.append(int(np.sum(sig > sig.max() * max(x.shape) * _EPS)))
+        ranks_n.append(_numerical_rank(sig, max(x.shape) * _EPS))
         del x
     overfactored = any(rank > r for r in ranks_n)
 

@@ -9,6 +9,7 @@ import numpy as np
 
 from .dense import DenseTensor, fiber, unfold
 from .ops import mode_n_matrix_product
+from .ttrain import _numerical_rank
 from .tucker import _PINV_RCOND, TuckerModel, tucker_reconstruct
 
 _ZERO_RTOL = 1e-13
@@ -62,7 +63,7 @@ def cur_decompose(x, row_idx: Sequence[int], col_idx: Sequence[int],
     w = x[np.ix_(rows, cols)]
     diagnostics: dict = {}
     sw = np.linalg.svd(w, compute_uv=False)
-    w_rank = int(np.sum(sw > _PINV_RCOND * sw[0])) if sw.size and sw[0] > 0 else 0
+    w_rank = _numerical_rank(sw, _PINV_RCOND)
     diagnostics["w_rank"] = w_rank
     diagnostics["w_singular"] = w_rank < min(w.shape)
     if core_mode == "pseudo_inverse_w":

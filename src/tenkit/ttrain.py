@@ -140,42 +140,55 @@ class TTMatrixModel:
                 f"col_dims={self.col_dims}, ranks={self.ranks})")
 
 
-# Row-block size of the tall-skinny QR in _left_factor, in scalars: 2**17
-# float64 is 1 MB, a block LAPACK factors in cache
+# Row-block size of the tall-skinny QR in _tsqr_r, in scalars: 2**17 float64
+# is 1 MB, a block LAPACK factors in cache
 _TSQR_BLOCK = 2 ** 17
+
+
+def _tsqr_r(a: np.ndarray) -> np.ndarray:
+    """The min(m, n) x n triangle R of a QR of the m x n ``a``, Q never formed.
+
+    R comes from a two-level tall-skinny QR (TSQR; Demmel, Grigori, Hoemmen
+    & Langou, SISC 2012): one stacked QR factors the k blocks of
+    b = max(8n, 2**17 // n) rows of ``a``, and one more QR factors their k
+    stacked triangles above the rows left over.  Householder QR of a matrix
+    far larger than cache is slow: on one OpenBLAS thread a 16384 x 128
+    ``a`` takes 150 ms in one QR and 88 ms in 1 MB blocks, and b >= 8n keeps
+    the second level within 1/8 of the rows.  Below 2b rows ``a`` is
+    factored by one QR, since blocking there was slower (4096 x 512: 107 ms
+    in one QR, 120 ms in two blocks).  R^T R = a^T a either way, and TSQR is
+    as backward stable as Householder QR.
+    """
+    m, n = a.shape
+    b = max(8 * n, _TSQR_BLOCK // n)
+    k = m // b
+    if k < 2:
+        return np.linalg.qr(a, mode="r")
+    r = np.linalg.qr(a[:k * b].reshape(k, b, n), mode="r")
+    return np.linalg.qr(np.concatenate((r.reshape(k * n, n), a[k * b:])),
+                        mode="r")
 
 
 def _left_factor(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Left singular vectors and singular values of ``mat``, V never formed.
 
     A wide n x m matrix (m > n) is first reduced to the n x n triangle R of
-    a QR of its transpose A, mat = R^T Q^T, whose SVD has the same U and
-    singular values.  R comes from a two-level tall-skinny QR (TSQR;
-    Demmel, Grigori, Hoemmen & Langou, SISC 2012): one stacked QR factors
-    the k blocks of b = max(8n, 2**17 // n) rows of A, and one more QR
-    factors their k stacked triangles above the rows left over.  Householder
-    QR of a matrix far larger than cache is slow: on one OpenBLAS thread a
-    16384 x 128 A takes 150 ms in one QR and 88 ms in 1 MB blocks, and
-    b >= 8n keeps the second level within 1/8 of the rows.  Below 2b rows A
-    is factored by one QR, since blocking there was slower (4096 x 512:
-    107 ms in one QR, 120 ms in two blocks).  R^T R = A^T A either way and
-    TSQR is as backward stable as Householder QR, so the singular values
-    are as accurate as a direct SVD's.  Any other matrix goes to the direct
-    economy SVD.
+    a QR of its transpose (:func:`_tsqr_r`), mat = R^T Q^T, whose SVD has
+    the same U and singular values, as accurate as a direct SVD's.  Any
+    other matrix goes to the direct economy SVD.
     """
     if mat.shape[1] > mat.shape[0]:
-        a = mat.T
-        m, n = a.shape
-        b = max(8 * n, _TSQR_BLOCK // n)
-        k = m // b
-        if k < 2:
-            mat = np.linalg.qr(a, mode="r").T
-        else:
-            r = np.linalg.qr(a[:k * b].reshape(k, b, n), mode="r")
-            mat = np.linalg.qr(np.concatenate((r.reshape(k * n, n), a[k * b:])),
-                               mode="r").T
+        mat = _tsqr_r(mat.T).T
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
     return u, s
+
+
+def _numerical_rank(s: np.ndarray, rtol: float) -> int:
+    """Count of the singular values ``s`` (sorted, largest first) above
+    ``rtol * s[0]``; 0 for an empty or all-zero ``s``."""
+    if s.size == 0 or s[0] <= 0:
+        return 0
+    return int(np.sum(s > rtol * s[0]))
 
 
 def _truncation_rank(s: np.ndarray, delta: float | None, cap: int | None) -> tuple[int, str]:
@@ -186,7 +199,7 @@ def _truncation_rank(s: np.ndarray, delta: float | None, cap: int | None) -> tup
     if delta is None:
         r_eps = s.size
     elif delta == 0.0:
-        r_eps = int(np.sum(s > 0.0))
+        r_eps = _numerical_rank(s, 0.0)
     else:
         tail = np.cumsum(s[::-1] ** 2)[::-1]
         r_eps = s.size

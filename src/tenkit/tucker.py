@@ -1,4 +1,5 @@
-"""Tucker models, HOSVD, sliced-Gram factors, block-wise and subtensor pipelines."""
+"""Tucker models, HOSVD, out-of-core factors from column slices, block-wise
+and subtensor pipelines."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from .dense import DenseTensor, _sum_tensors, frobenius_norm, unfold
 from .ops import mode_n_matrix_product, multilinear_product
-from .ttrain import _left_factor, _truncation_rank
+from .ttrain import _left_factor, _numerical_rank, _truncation_rank, _tsqr_r
 
 _PINV_RCOND = 1e-12
 _ORTHO_RTOL = 1e-10
@@ -185,8 +186,9 @@ def check_all_orthogonal(core: DenseTensor,
 
 @dataclass(frozen=True)
 class SlicedGram:
-    """Factor matrix recovered from an accumulated Gram: eigenvectors ordered
-    by decreasing eigenvalue, singular values, and the numerical rank."""
+    """Factor of an unfolding given as column slices: left singular vectors
+    ordered by decreasing singular value, the singular values, and the
+    numerical rank.  No Gram is formed; the name is kept for callers."""
 
     u: np.ndarray
     sigmas: np.ndarray
@@ -194,35 +196,35 @@ class SlicedGram:
 
 
 def factor_gram_sliced(slices: Iterable[np.ndarray]) -> SlicedGram:
-    """Accumulate sum_q X_q X_q^T over column slices of a mode-n unfolding and
-    eigendecompose it.
+    """Left singular vectors and singular values of the unfolding
+    [X_1 ... X_Q] from its column slices, pulled one at a time so the full
+    unfolding never needs to be in memory at once.
 
-    ``u`` matches the left singular vectors of the full unfolding up to column
-    sign, and ``sigmas`` its singular values; slices are pulled sequentially
-    so the full unfolding never needs to be in memory at once.
+    Each slice is folded into a running triangle, R <- the R of a QR of
+    [R; X_q^T] (the TSQR of :func:`ttrain._tsqr_r`), so R^T R is
+    sum_q X_q X_q^T without that Gram being formed, and ``u`` and
+    ``sigmas`` come from the SVD of the final R^T.  No condition number is
+    squared: every singular value is within about machine epsilon times the
+    largest, as from a direct SVD.  ``u`` (sign-fixed) and ``sigmas`` have
+    min(rows, total columns) entries; ``rank`` counts the singular values
+    above 1e-12 times the largest.
     """
-    gram = None
-    for x in slices:
+    r = None
+    for q, x in enumerate(slices):
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
             raise ValueError("each slice must be a matrix")
-        if gram is None:
-            gram = x @ x.T
-        else:
-            if x.shape[0] != gram.shape[0]:
-                raise ValueError(f"slice row count {x.shape[0]} does not match "
-                                 f"{gram.shape[0]}")
-            gram += x @ x.T
-    if gram is None:
+        if r is not None and x.shape[0] != r.shape[1]:
+            raise ValueError(f"slice row count {x.shape[0]} does not match "
+                             f"{r.shape[1]}")
+        if not np.isfinite(x).all():
+            raise ValueError(f"slice {q} holds non-finite entries")
+        r = _tsqr_r(x.T if r is None else np.concatenate((r, x.T)))
+    if r is None:
         raise ValueError("slice provider yielded no slices")
-    w, v = np.linalg.eigh(gram)
-    order = np.argsort(w)[::-1]
-    w = np.clip(w[order], 0.0, None)
-    u = _fix_signs(v[:, order])
-    sigmas = np.sqrt(w)
-    cutoff = _PINV_RCOND * sigmas[0] if sigmas.size and sigmas[0] > 0 else 0.0
-    rank = int(np.sum(sigmas > cutoff))
-    return SlicedGram(u, sigmas, rank)
+    u, sigmas = _left_factor(r.T)
+    return SlicedGram(_fix_signs(u), sigmas,
+                      _numerical_rank(sigmas, _PINV_RCOND))
 
 
 def right_factor_block(x_q: np.ndarray, gram: SlicedGram) -> np.ndarray:
@@ -236,13 +238,13 @@ def right_factor_block(x_q: np.ndarray, gram: SlicedGram) -> np.ndarray:
 
 
 def unfolding_column_slices(t: DenseTensor, n: int, q: int):
-    """Yield ``q`` column blocks of unfold(t, n), a ready-made slice provider."""
-    mat = unfold(t, n)
+    """Iterator over ``q`` column blocks of unfold(t, n), each a view, as a
+    ready-made slice provider; empty blocks are skipped."""
     if q < 1:
         raise ValueError("slice count must be >= 1")
-    for cols in np.array_split(np.arange(mat.shape[1]), q):
-        if cols.size:
-            yield mat[:, cols]
+    mat = unfold(t, n)
+    return (mat[:, cols[0]:cols[-1] + 1]
+            for cols in np.array_split(np.arange(mat.shape[1]), q) if cols.size)
 
 
 def _splits(total: int, parts: int) -> list[np.ndarray]:
@@ -339,10 +341,13 @@ def hosvd_from_subtensors(t: DenseTensor, counts: Sequence[int] | None = None,
     Utilde^(n), the selected rows are pseudo-inverted to map W onto an
     auxiliary core, and a final HOSVD of that core restores all-orthogonality.
     With ``counts`` the index sets come from the max-modulus fiber selection
-    heuristic.
+    heuristic.  Ranks count singular values above ``rank_tol`` times the
+    largest, and ``rank_tol`` must lie in [0, 1).
     """
     from .cur import _check_index_list, select_fibers_maxmod
 
+    if not 0.0 <= rank_tol < 1.0:
+        raise ValueError(f"rank_tol must lie in [0, 1), got {rank_tol}")
     if (counts is None) == (indices is None):
         raise ValueError("give exactly one of counts or indices")
     if counts is not None:
@@ -363,7 +368,7 @@ def hosvd_from_subtensors(t: DenseTensor, counts: Sequence[int] | None = None,
                 for m in range(1, t.order + 1)]
         sub = DenseTensor.from_array(arr[np.ix_(*keys)])
         u, s = _left_factor(unfold(sub, n))
-        r = int(np.sum(s > rank_tol * s[0])) if s.size and s[0] > 0 else 0
+        r = _numerical_rank(s, rank_tol)
         if r == 0:
             raise np.linalg.LinAlgError(
                 f"subtensor for mode {n} is numerically zero")
@@ -374,8 +379,7 @@ def hosvd_from_subtensors(t: DenseTensor, counts: Sequence[int] | None = None,
     for n in range(1, t.order + 1):
         rows = u_tilde[n - 1][idx0[n - 1], :]
         s_rows = np.linalg.svd(rows, compute_uv=False)
-        if s_rows.size < ranks[n - 1] or s_rows[ranks[n - 1] - 1] <= \
-                rank_tol * s_rows[0]:
+        if _numerical_rank(s_rows, rank_tol) < ranks[n - 1]:
             raise np.linalg.LinAlgError(
                 f"selected rows of mode-{n} factor are rank deficient; "
                 f"increase P_{n} or choose different fibers")

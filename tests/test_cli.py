@@ -129,6 +129,13 @@ def test_decompose_usage_errors(tmp_path, capsys):
                             str(tmp_path / "x.cpm")], capsys)
         assert code == 2 and "tol must be finite and >= 0" in err
         assert not (tmp_path / "x.cpm").exists()
+    # --blocks is a block grid for tucker cores and no other format
+    for fmt, flags in (("tt", ["--eps", "0.1", "--blocks", "2,2"]),
+                       ("cpd", ["--rank", "1", "--blocks", "9"])):
+        code, _, err = run(["decompose", inp, "--format", fmt, *flags,
+                            "--output", out], capsys)
+        assert code == 2 and "--blocks applies only to --format tucker" in err
+        assert not (tmp_path / "x.ttm").exists()
 
 
 @pytest.mark.parametrize("fmt,suffix", [("tt", "ttm"), ("tucker", "tkm"),

@@ -14,7 +14,7 @@ from tenkit.dense import (BIG_ENDIAN, DenseTensor, UnfoldingSpec,
                           frobenius_norm, unfold, unfold_general, vectorize)
 from tenkit.quantize import QuantizationScheme, qtt_decompress
 from tenkit.ttrain import (TTMatrixModel, TTModel, _half_sweep, _left_factor,
-                           _right_interfaces, _svd_splitter, tt_als,
+                           _numerical_rank, _right_interfaces, _svd_splitter, tt_als,
                            tt_element, tt_mals, tt_norm, tt_orthogonalize,
                            tt_outer_sum, tt_reconstruct, tt_round, tt_storage,
                            tt_svd, tt_to_strong_kron, ttm_element,
@@ -752,6 +752,16 @@ def test_left_factor_calls(monkeypatch, shape, calls):
     monkeypatch.setattr(np.linalg, "svd", spy("svd", np.linalg.svd))
     _left_factor(np.random.default_rng(0).standard_normal(shape))
     assert seen == calls
+
+
+@pytest.mark.parametrize("rtol", [0.0, 1e-12, 1e-3, 0.5])
+def test_numerical_rank(rtol):
+    assert _numerical_rank(np.zeros(0), rtol) == 0
+    assert _numerical_rank(np.zeros(5), rtol) == 0
+    graded = np.array([3.0, 1.0, 1e-2, 1e-6, 1e-13, 1e-15, 0.0])
+    for s in (graded, graded[:1], graded[:5], np.zeros(5) + 2.0):
+        want = np.linalg.matrix_rank(np.diag(s), tol=rtol * s[0])
+        assert _numerical_rank(s, rtol) == want
 
 
 def test_left_factor_blocked_is_deterministic():

@@ -1,5 +1,5 @@
-"""Tucker/HOSVD: exactness, truncation, all-orthogonality, sliced-Gram
-factors, block-wise cores, and the subtensor reconstruction pipeline."""
+"""Tucker/HOSVD: exactness, truncation, all-orthogonality, factors from
+column slices, block-wise cores, and the subtensor reconstruction pipeline."""
 
 import numpy as np
 import pytest
@@ -181,6 +181,70 @@ def test_factor_gram_sliced_zero_gram():
     assert np.array_equal(res.sigmas, np.zeros(3))
 
 
+def test_factor_gram_sliced_graded_spectrum():
+    # sigma from 1 to 1e-15, each at least 10x away from the 1e-12 rank
+    # cutoff; a Gram would lose everything below about sqrt(eps) = 1.5e-8
+    rng = np.random.default_rng(151)
+    sig = np.array([1.0, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-11, 1e-13, 1e-14,
+                    1e-15])
+    left = np.linalg.qr(rng.standard_normal((10, 10)))[0]
+    right = np.linalg.qr(rng.standard_normal((3000, 10)))[0]
+    x = (left * sig) @ right.T
+    res = factor_gram_sliced(np.array_split(x, 7, axis=1))
+    assert res.sigmas.shape == (10,)
+    assert np.all(np.abs(res.sigmas - sig) <= 1e-13 * sig[0])
+    assert res.rank == int(np.sum(sig > 1e-12)) == 7
+    # leading subspaces agree where a gap of at least 1e-4 separates them
+    for j in (1, 2, 3):
+        p, p0 = res.u[:, :j] @ res.u[:, :j].T, left[:, :j] @ left[:, :j].T
+        assert np.allclose(p, p0, rtol=0, atol=1e-8)
+
+
+def test_factor_gram_sliced_fewer_columns_than_rows():
+    # u and sigmas have min(rows, columns) entries
+    x = np.random.default_rng(152).standard_normal((6, 4))
+    res = factor_gram_sliced([x[:, :1], x[:, 1:3], x[:, 3:]])
+    direct_u, direct_s, _ = np.linalg.svd(x, full_matrices=False)
+    assert res.u.shape == (6, 4) and res.sigmas.shape == (4,)
+    assert res.rank == 4
+    assert np.allclose(res.sigmas, direct_s, rtol=0, atol=1e-14)
+    assert np.allclose(np.abs(res.u.T @ direct_u), np.eye(4), atol=1e-12)
+
+
+def test_factor_gram_sliced_calls(monkeypatch):
+    # one QR per slice folds it into the running triangle, one SVD of the
+    # final triangle, and no Gram eigendecomposition
+    seen = []
+
+    def spy(name, fn):
+        def wrapped(a, *args, **kwargs):
+            seen.append((name, a.shape))
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    for name in ("qr", "svd", "eigh"):
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+    x = np.random.default_rng(153).standard_normal((6, 100))
+    factor_gram_sliced(np.array_split(x, 3, axis=1))
+    assert seen == [("qr", (34, 6)), ("qr", (6 + 33, 6)), ("qr", (6 + 33, 6)),
+                    ("svd", (6, 6))]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_factor_gram_sliced_rejects_non_finite_slice(bad):
+    slices = [np.ones((3, 4)), np.ones((3, 4)), np.ones((3, 4))]
+    slices[1][2, 1] = bad
+    with pytest.raises(ValueError, match="slice 1 holds non-finite"):
+        factor_gram_sliced(slices)
+
+
+def test_factor_gram_sliced_rejects_bad_providers():
+    with pytest.raises(ValueError, match="no slices"):
+        factor_gram_sliced([])
+    with pytest.raises(ValueError, match="row count 4 does not match 3"):
+        factor_gram_sliced([np.ones((3, 4)), np.ones((4, 4))])
+
+
 def test_unfolding_column_slices_provider():
     t = rt((4, 6, 5), 16)
     whole = unfold(t, 2)
@@ -189,6 +253,11 @@ def test_unfolding_column_slices_provider():
     res = factor_gram_sliced(unfolding_column_slices(t, 2, 7))
     direct = np.linalg.svd(whole, compute_uv=False)
     assert np.allclose(res.sigmas[:6], direct, rtol=1e-8)
+    # more slices than columns: the empty ones are skipped
+    assert np.array_equal(np.hstack(list(unfolding_column_slices(t, 2, 50))),
+                          whole)
+    with pytest.raises(ValueError, match="slice count"):
+        unfolding_column_slices(t, 2, 0)
 
 
 def test_partition_assemble_roundtrip():
@@ -282,6 +351,13 @@ def test_hosvd_from_subtensors_rank_deficient_selection():
     bt = DenseTensor.from_array(blocked)
     with pytest.raises(np.linalg.LinAlgError):
         hosvd_from_subtensors(bt, indices=[[1, 2], [1, 2], [1, 2]])
+
+
+@pytest.mark.parametrize("rank_tol", [np.nan, np.inf, -1e-3, 1.0, 2.0])
+def test_hosvd_from_subtensors_rejects_bad_rank_tol(rank_tol):
+    t, _, _ = random_tucker_tensor((6, 6, 6), (2, 2, 2), seed=29)
+    with pytest.raises(ValueError, match="rank_tol must lie in"):
+        hosvd_from_subtensors(t, counts=(3, 3, 3), rank_tol=rank_tol)
 
 
 def test_tucker_big_endian_matricized_identity():
