@@ -10,7 +10,7 @@ import argparse
 import csv
 import sys
 import time
-from math import prod
+from math import inf, prod
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from . import io as tio
 from .blockmodels import model_storage, reconstruct
 from .cpd import CPModel, cp_als
 from .cur import FSTDModel, fstd
-from .dense import DenseTensor, frobenius_norm
+from .dense import DenseTensor, _norm, frobenius_norm
 from .quantize import QuantizationScheme, qtt_compress, storage_complexity
 from .tucker import assemble_blocks, core_blockwise, hosvd, \
     partition_matrix_blocks, partition_tensor, TuckerModel
@@ -47,9 +47,11 @@ def _int_list(text: str) -> list[int]:
 
 def _rel_error(t: DenseTensor, rec: DenseTensor) -> float:
     """|t - rec| / |t|: 0 for an exact fit, inf when only t is zero."""
-    err = np.linalg.norm(t.data - rec.data)
-    with np.errstate(divide="ignore"):
-        return float(err / np.linalg.norm(t.data)) if err else 0.0
+    err = _norm(t.data - rec.data)
+    if not err:
+        return 0.0
+    norm = _norm(t.data)
+    return err / norm if norm else inf
 
 
 def _seconds(elapsed: float, deterministic: bool) -> str:

@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dense import DenseTensor, frobenius_norm, unfold
+from .dense import DenseTensor, _norm, frobenius_norm, unfold
 from .ops import khatri_rao
 from .ttrain import _left_factor, _numerical_rank
 
@@ -86,12 +86,16 @@ def _kr_others(factors: Sequence[np.ndarray], n: int, descending: bool) -> np.nd
                      factors[0].shape[1])
 
 
-def cp_reconstruct(m: CPModel) -> DenseTensor:
-    """Dense tensor sum_r lambda_r b_r^(1) o ... o b_r^(N)."""
+def _cp_buffer(m: CPModel) -> np.ndarray:
     # (KR of modes N..2) (B1 Lambda)^T in C order is the first-index-fastest
     # buffer: row index over modes 2..N, column index i_1 fastest
     flat = _kr_others(m.factors, 1, descending=True) @ (m.factors[0] * m.weights).T
-    return DenseTensor(m.dims, flat.reshape(-1), copy=False)
+    return flat.reshape(-1)
+
+
+def cp_reconstruct(m: CPModel) -> DenseTensor:
+    """Dense tensor sum_r lambda_r b_r^(1) o ... o b_r^(N)."""
+    return DenseTensor(m.dims, _cp_buffer(m), copy=False)
 
 
 def _mttkrp(arr: np.ndarray, factors: Sequence[np.ndarray], n: int) -> np.ndarray:
@@ -139,8 +143,11 @@ def cp_fit(t: DenseTensor, m: CPModel) -> float:
     norm_t = frobenius_norm(t)
     if norm_t == 0.0:
         raise ValueError("fit undefined for a zero-norm tensor")
-    resid = np.linalg.norm(t.data - cp_reconstruct(m).data)
-    return 1.0 - resid / norm_t
+    # the residual overwrites the reconstruction's buffer: one tensor-sized
+    # temporary is live, not two
+    resid = _cp_buffer(m)
+    np.subtract(t.data, resid, out=resid)
+    return 1.0 - _norm(resid) / norm_t
 
 
 @dataclass
@@ -183,13 +190,17 @@ def cp_als(t: DenseTensor, rank: int, *, max_iters: int = 200,
            init: str = "svd") -> tuple[CPModel, CPDiagnostics]:
     """Fit a rank-R CP model by alternating least squares.
 
-    Each sweep updates B^(n) <- X_(n) (KR of others)(Hadamard of Grams)^+,
-    then renormalizes columns into lambda.  The fit 1 - |X - Xhat|/|X| is
-    non-decreasing per sweep up to roundoff; iteration stops when the fit
-    change drops below ``tol`` or after ``max_iters`` sweeps.  Start 0 uses
-    ``init``: the leading left singular vectors of each unfolding (``"svd"``)
-    or Gaussian factors (``"random"``); later starts are random.  With
-    ``n_starts`` > 1 the best final fit wins.  The MTTKRP X_(n) (KR of
+    Each sweep updates B^(n) <- X_(n) (KR of others)(Hadamard of Grams)^+
+    and scales each update's columns to unit norm (:func:`tenkit.dense._norm`)
+    at once, so every Gram stays O(1) whatever the scale of ``t``; lambda
+    holds the column norms of the last update.  ALS is invariant to column
+    scaling of the other factors, so in exact arithmetic this is the
+    textbook sweep with one normalization per sweep.  The fit
+    1 - |X - Xhat|/|X| is non-decreasing per sweep up to roundoff; iteration
+    stops when the fit change drops below ``tol`` or after ``max_iters``
+    sweeps.  Start 0 uses ``init``: the leading left singular vectors of
+    each unfolding (``"svd"``) or Gaussian factors (``"random"``); later
+    starts are random.  With ``n_starts`` > 1 the best final fit wins.  The MTTKRP X_(n) (KR of
     others) runs on the tensor's buffer (:func:`_mttkrp`), and every sweep
     records the exact dense fit.
 
@@ -231,7 +242,6 @@ def cp_als(t: DenseTensor, rank: int, *, max_iters: int = 200,
         factors = _init_factors(t.dims, rank, rng, init if s == 0 else "random",
                                 lefts)
         grams = [f.T @ f for f in factors]
-        lam = np.ones(rank)
         history = []
         converged = False
         for sweep in range(max_iters):
@@ -241,23 +251,21 @@ def cp_als(t: DenseTensor, rank: int, *, max_iters: int = 200,
                     if k != n - 1:
                         g *= grams[k]
                 f = _mttkrp(arr, factors, n) @ _pinv_gram(g)
+                # unit columns right after each update keep every Gram O(1)
+                # at any data scale; the scale sits in lambda
+                lam = np.array([_norm(col) for col in f.T])
+                nonzero = lam > 0
+                f[:, nonzero] /= lam[nonzero]
                 factors[n - 1] = f
                 grams[n - 1] = f.T @ f
-            # lambda is re-extracted after every full sweep; scale sits in the
-            # most recently updated factor until then.
-            model = normalize(CPModel(np.ones(rank), factors))
-            factors = model.factors
-            lam = model.weights
-            grams = [f.T @ f for f in factors]
-            fit = cp_fit(t, model)
-            history.append(fit)
+            model = CPModel(lam, factors)
+            history.append(cp_fit(t, model))
             if sweep > 0 and abs(history[-1] - history[-2]) < tol:
                 converged = True
                 break
-        final = CPModel(lam, factors)
         start_fits.append(history[-1])
         if best is None or history[-1] > best[1]:
-            best = (final, history[-1], history, converged, s)
+            best = (model, history[-1], history, converged, s)
 
     model, _, history, converged, best_start = best
     diag = CPDiagnostics(fit_history=history, converged=converged,

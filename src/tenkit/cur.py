@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import frexp
 from typing import Sequence
 
 import numpy as np
 
-from .dense import DenseTensor, fiber, unfold
+from .dense import DenseTensor, _norm, fiber, unfold
 from .ops import mode_n_matrix_product
 from .ttrain import _numerical_rank
 from .tucker import _PINV_RCOND, TuckerModel, tucker_reconstruct
@@ -89,15 +90,18 @@ class FiberSelection:
 
 class _CrossResidual:
     # Residual of X minus the accumulated rank-1 cross terms, evaluated only
-    # along fibers; each term stores one vector per mode plus a scale.
+    # along fibers.  A term through pivot value e stores the pivot's fibers
+    # v_1, v_2 / e, ..., v_N / e: their outer product is the cross
+    # v_1 o ... o v_N / e^(N-1), and every stored entry keeps the data's
+    # scale or is O(1), so no power of e is ever formed.
     def __init__(self, t: DenseTensor):
         self.t = t
-        self.terms: list[tuple[list[np.ndarray], float]] = []
+        self.terms: list[list[np.ndarray]] = []
 
     def fiber(self, n: int, coords: Sequence[int]) -> np.ndarray:
         out = fiber(self.t, n, coords)
-        for vecs, scale in self.terms:
-            w = scale
+        for vecs in self.terms:
+            w = 1.0
             for m in range(1, self.t.order + 1):
                 if m != n:
                     w *= vecs[m - 1][coords[m - 1] - 1]
@@ -107,8 +111,7 @@ class _CrossResidual:
     def deflate(self, pivot: Sequence[int]) -> None:
         vecs = [self.fiber(n, pivot) for n in range(1, self.t.order + 1)]
         e = vecs[0][pivot[0] - 1]
-        scale = 1.0 / e ** (self.t.order - 1)
-        self.terms.append((vecs, scale))
+        self.terms.append(vecs[:1] + [v / e for v in vecs[1:]])
 
 
 def _alternating_pivot(resid: _CrossResidual, start: Sequence[int],
@@ -156,7 +159,11 @@ def _complete_selection(t: DenseTensor, lists: list[list[int]],
                 for m in range(t.order)]
         sub = arr[np.ix_(*keys)]
         mat = np.moveaxis(sub, n, 0).reshape(t.dims[n], -1)
-        tol = 1e-12 * max(np.linalg.norm(mat), 1e-300)
+        # scaled by 2^-e, e the binary exponent of its norm: exact, so every
+        # comparison below is unchanged, and the row norms cannot overflow
+        mantissa, e = frexp(_norm(mat))
+        mat = np.ldexp(mat, -e)
+        tol = 1e-12 * max(mantissa, 1e-300)
         chosen = [i - 1 for i in out[n]]
         while need > 0:
             q, _ = np.linalg.qr(mat[chosen].T)

@@ -4,12 +4,12 @@ two-site MALS/DMRG sweeps, strong-Kronecker forms."""
 
 from __future__ import annotations
 
-from math import prod, sqrt
+from math import frexp, prod, sqrt
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .dense import DenseTensor, frobenius_norm
+from .dense import DenseTensor, _norm, frobenius_norm
 from .ops import BlockMatrix, strong_kron
 
 DENSE_CAP = 2 ** 26  # default cap on dense materialization, in scalars
@@ -193,7 +193,13 @@ def _numerical_rank(s: np.ndarray, rtol: float) -> int:
 
 def _truncation_rank(s: np.ndarray, delta: float | None, cap: int | None) -> tuple[int, str]:
     """Minimal kept rank for an absolute tail budget ``delta`` plus a hard cap.
-    Returns (rank, active bound)."""
+    Returns (rank, active bound).
+
+    The squared tail sums are taken on ``s`` and ``delta`` scaled by 2^-e,
+    e the binary exponent of s[0].  Scaling by a power of two is exact, so
+    the rank is bitwise the unscaled rule's wherever its squares stay in
+    range, and a budget on a tensor of norm near 2^+-600 does not overflow
+    or underflow."""
     if s.size == 0:
         return 1, "none"
     if delta is None:
@@ -201,9 +207,12 @@ def _truncation_rank(s: np.ndarray, delta: float | None, cap: int | None) -> tup
     elif delta == 0.0:
         r_eps = _numerical_rank(s, 0.0)
     else:
-        tail = np.cumsum(s[::-1] ** 2)[::-1]
+        e = frexp(s[0])[1]
+        with np.errstate(over="ignore"):
+            s_e, budget = np.ldexp(s, -e), np.ldexp(delta, -e) ** 2
+        tail = np.cumsum(s_e[::-1] ** 2)[::-1]
         r_eps = s.size
-        while r_eps > 1 and tail[r_eps - 1] <= delta ** 2:
+        while r_eps > 1 and tail[r_eps - 1] <= budget:
             r_eps -= 1
     r_eps = max(r_eps, 1)
     which = "none"
@@ -432,7 +441,7 @@ def tt_norm(m: TTModel) -> float:
     """Frobenius norm of the represented tensor (via orthogonalization)."""
     w = m if m.ortho_center is not None and m.verify_orthogonality() else \
         tt_orthogonalize(m, 1)
-    return float(np.linalg.norm(w.cores[w.ortho_center - 1]))
+    return _norm(w.cores[w.ortho_center - 1])
 
 
 def tt_round(m: TTModel, eps: float = 0.0, max_ranks=None) -> TTModel:
@@ -447,7 +456,7 @@ def tt_round(m: TTModel, eps: float = 0.0, max_ranks=None) -> TTModel:
     caps = _rank_caps(max_ranks, max(m.order - 1, 0))
     w = tt_orthogonalize(m, 1)
     cores = w.cores
-    norm = float(np.linalg.norm(cores[0]))
+    norm = _norm(cores[0])
     delta = eps * norm / sqrt(max(m.order - 1, 1))
     bounds = []
     for n in range(m.order - 1):
@@ -496,11 +505,10 @@ def _residual(t: DenseTensor, cores, norm_t: float, cap: int,
               center: np.ndarray) -> float:
     if prod(t.dims) <= cap:
         rec = tt_reconstruct(TTModel(list(cores)))
-        return float(np.linalg.norm(t.data - rec.data) / norm_t)
+        return _norm(t.data - rec.data) / norm_t
     # over-cap fallback: with orthonormal interfaces the projection identity
     # |X - Xhat|^2 = |X|^2 - |G_center|^2 holds (floors near sqrt(eps_mach))
-    return float(sqrt(max(norm_t ** 2 - float(np.sum(center * center)), 0.0))
-                 / norm_t)
+    return sqrt(max(1.0 - (_norm(center) / norm_t) ** 2, 0.0))
 
 
 def _half_sweep(arr: np.ndarray, cores: list, caps: Sequence[int | None],

@@ -4,7 +4,7 @@ and subtensor pipelines."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import frexp, sqrt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -162,24 +162,33 @@ def check_all_orthogonal(core: DenseTensor,
                          rel_tol: float = _ORTHO_RTOL) -> OrthogonalityReport:
     """Check that same-mode slices are mutually orthogonal with non-increasing
     Frobenius norms.  Thresholds scale with |core|_F^2; ties are allowed in
-    the norm ordering."""
-    scale = frobenius_norm(core) ** 2
-    tol = rel_tol * scale if scale > 0 else rel_tol
+    the norm ordering.
+
+    The Grams and thresholds are computed on the core scaled by 2^-e, e the
+    binary exponent of |core|_F, so they stay in range at any scale; the
+    scaling is exact, and the reported values are scaled back (inner
+    products by 2^2e, which can overflow to inf or underflow to 0 beyond
+    about 2^+-500)."""
+    mantissa, e = frexp(frobenius_norm(core))
+    scaled = DenseTensor(core.dims, np.ldexp(core.data, -e), copy=False)
+    tol = rel_tol * mantissa ** 2 if mantissa > 0 else rel_tol
     max_offdiag = []
     slice_norms = []
     orthogonal = True
     ordered = True
     for n in range(1, core.order + 1):
-        g = unfold(core, n)
+        g = unfold(scaled, n)
         gram = g @ g.T
         off = gram - np.diag(np.diag(gram))
-        max_offdiag.append(float(np.max(np.abs(off))) if gram.shape[0] > 1 else 0.0)
+        offdiag = float(np.max(np.abs(off))) if gram.shape[0] > 1 else 0.0
         norms = np.sqrt(np.clip(np.diag(gram), 0.0, None))
-        slice_norms.append(norms)
-        if max_offdiag[-1] > tol:
+        if offdiag > tol:
             orthogonal = False
         if np.any(np.diff(norms ** 2) > tol):
             ordered = False
+        with np.errstate(over="ignore"):
+            max_offdiag.append(float(np.ldexp(offdiag, 2 * e)))
+        slice_norms.append(np.ldexp(norms, e))
     return OrthogonalityReport(tuple(max_offdiag), tuple(slice_norms),
                                orthogonal, ordered)
 

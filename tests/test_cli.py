@@ -168,6 +168,60 @@ def test_reconstruct_against_zero_tensor_reports_inf(tmp_path, capsys):
     assert stdout.strip() == "rel_error=inf"
 
 
+def _scaled_fixtures(tmp_path, x):
+    # the same tensor at 2^0 and at 2^-+600, where its squares leave the
+    # double range
+    return {k: write_fixture(tmp_path, f"x{k}.dten",
+                             DenseTensor.from_array(np.ldexp(x, k)))
+            for k in (0, -600, 600)}
+
+
+@pytest.mark.parametrize("fmt, suffix, spec", [
+    ("tucker", "tkm", ["--rank", "2,2,2"]),
+    ("tt", "ttm", ["--eps", "0.5"]),
+    ("cpd", "cpm", ["--rank", "2"]),
+    ("fstd", "tkm", ["--rank", "2,3,2"]),
+])
+def test_decompose_and_reconstruct_are_scale_invariant(tmp_path, capsys, fmt,
+                                                       suffix, spec):
+    if fmt == "cpd":
+        x = noisy_cp_cube(6, 9, rank=2, noise=1e-2)[0].to_array()
+    else:
+        x = np.random.default_rng(0).standard_normal((6, 7, 8))
+    results = {}
+    for k, inp in _scaled_fixtures(tmp_path, x).items():
+        model = str(tmp_path / f"m{k}.{suffix}")
+        code, stdout, err = run(["decompose", inp, "--format", fmt,
+                                 "--output", model] + spec, capsys)
+        report = parse_report(stdout.splitlines()[0])
+        rcode, rout, rerr = run(["reconstruct", model, "--output",
+                                 str(tmp_path / f"r{k}.dten"), "--against",
+                                 inp], capsys)
+        assert rcode == 0, rerr
+        results[k] = (code, report, float(rout.strip().split("=", 1)[1]))
+    base_code, base, base_again = results[0]
+    assert base_code == 0
+    for k in (-600, 600):
+        code, report, again = results[k]
+        assert code == base_code
+        assert (report["ranks"], report["params"]) == \
+            (base["ranks"], base["params"])
+        assert float(report["rel_error"]) == pytest.approx(
+            float(base["rel_error"]), rel=1e-12)
+        assert again == pytest.approx(base_again, rel=1e-12)
+
+
+def test_info_norm_scales_with_the_tensor(tmp_path, capsys):
+    x = np.random.default_rng(1).standard_normal((6, 7, 8))
+    norms = {}
+    for k, inp in _scaled_fixtures(tmp_path, x).items():
+        code, stdout, _ = run(["info", inp], capsys)
+        assert code == 0
+        norms[k] = float(parse_report(stdout)["norm"])
+    for k in (-600, 600):
+        assert norms[k] == np.ldexp(norms[0], k)
+
+
 def test_missing_input_exit_1(tmp_path, capsys):
     code, _, err = run(["decompose", str(tmp_path / "nope.dten"), "--format",
                         "tt", "--eps", "0.1", "--output",

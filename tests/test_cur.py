@@ -164,3 +164,16 @@ def test_fstd_validation():
     for kwargs in ({"counts": (2, 2, 2)}, {"indices": [[1], [2], [3]]}):
         with pytest.raises(ValueError, match="cannot fit an all-zero tensor"):
             fstd(zero, **kwargs)
+
+
+@pytest.mark.parametrize("k", [-600, 600])
+def test_fstd_selection_is_scale_invariant(k):
+    # a cross term keeps the pivot's fibers divided by the pivot value, never
+    # a power of it: 1 / e^2 overflows at 2^-600 and e^2 at 2^+600
+    t = DenseTensor.from_array(
+        np.random.default_rng(31).standard_normal((6, 7, 8)))
+    counts = (3, 2, 4)
+    base = fstd(t, counts=counts)
+    scaled = fstd(DenseTensor(t.dims, np.ldexp(t.data, k)), counts=counts)
+    assert not base.early_stop and not scaled.early_stop
+    assert scaled.indices == base.indices

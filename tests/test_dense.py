@@ -5,6 +5,7 @@ implemented here with plain Python loops (no reshape tricks).
 """
 
 import itertools
+import tracemalloc
 from math import prod
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tenkit.dense import (BIG_ENDIAN, LITTLE_ENDIAN, DenseTensor,
-                          UnfoldingSpec, extract_subtensor, fiber, fold,
+                          UnfoldingSpec, _norm, extract_subtensor, fiber, fold,
                           fold_general, frobenius_norm, linear_index,
                           multi_index, unfold, unfold_general, vectorize)
 
@@ -260,6 +261,31 @@ def test_frobenius_norm_invariance():
     assert np.isclose(frobenius_norm(perm), ref, rtol=1e-15)
 
 
+def test_frobenius_norm_is_numpy_norm_within_range():
+    # the fast path is numpy's own sum of squares, so within range the
+    # result is bitwise np.linalg.norm's in either memory order
+    rng = np.random.default_rng(13)
+    for shape in ((7,), (30, 17), (5, 6, 4), (3, 9, 2)):
+        arr = rng.standard_normal(shape) * 10.0 ** rng.integers(-100, 100)
+        for x in (arr, np.asfortranarray(arr)):
+            assert _norm(x) == np.linalg.norm(x)
+        t = DenseTensor.from_array(arr)
+        assert frobenius_norm(t) == np.linalg.norm(t.data)
+
+
+def test_frobenius_norm_fast_path_allocates_nothing():
+    # one more tensor-sized array live at a job's peak shows in its RSS
+    t = DenseTensor.from_array(
+        np.random.default_rng(14).standard_normal((128, 128, 64)))
+    tracemalloc.start()
+    try:
+        frobenius_norm(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
 def test_dense_tensor_validation():
     with pytest.raises(ValueError, match="length"):
         DenseTensor((2, 2), [1, 2, 3])
@@ -339,3 +365,12 @@ def test_fold_general_unfold_general_roundtrip_property(dims, seed, data):
     assert back.dims == t.dims
     assert np.array_equal(back.data, t.data)
     assert np.array_equal(unfold_general(back, spec), mat)
+
+
+@_property
+@given(dims=_dims, seed=st.integers(0, 2 ** 32 - 1), k=st.integers(-900, 900))
+def test_frobenius_norm_scales_by_powers_of_two_property(dims, seed, k):
+    t = _seeded(dims, seed)
+    want = np.ldexp(frobenius_norm(t), k)
+    got = frobenius_norm(DenseTensor(t.dims, np.ldexp(t.data, k)))
+    assert abs(got - want) <= 2 * np.spacing(want)
