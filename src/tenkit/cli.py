@@ -22,7 +22,8 @@ from .dense import DenseTensor, _norm, frobenius_norm
 from .quantize import QuantizationScheme, qtt_compress, storage_complexity
 from .tucker import assemble_blocks, core_blockwise, hosvd, \
     partition_matrix_blocks, partition_tensor, TuckerModel
-from .ttrain import TTMatrixModel, TTModel, tt_round, tt_svd, ttm_svd
+from .ttrain import DENSE_CAP, TTMatrixModel, TTModel, tt_round, tt_svd, \
+    ttm_svd
 
 BENCH_HEADER = ["format", "N", "I", "R", "exact_params", "asymptotic",
                 "rel_error", "seconds"]
@@ -52,6 +53,18 @@ def _rel_error(t: DenseTensor, rec: DenseTensor) -> float:
         return 0.0
     norm = _norm(t.data)
     return err / norm if norm else inf
+
+
+def _require_finite(t: DenseTensor, what: str) -> None:
+    """Raise :class:`NumericalFailure` when ``t`` holds a NaN or an inf."""
+    # the norm is one pass that allocates nothing, and it is finite whenever
+    # every entry is (short of a norm above the double range); entries are
+    # counted only when it is not
+    if np.isfinite(_norm(t.data)):
+        return
+    bad = t.size - np.count_nonzero(np.isfinite(t.data))
+    if bad:
+        raise NumericalFailure(f"{what} holds {bad} non-finite entries")
 
 
 def _seconds(elapsed: float, deterministic: bool) -> str:
@@ -95,10 +108,7 @@ def cmd_decompose(args) -> int:
     if (ranks is None) == (args.eps is None):
         raise JobSpecError("give exactly one of --rank and --eps")
     blocks = _int_list(args.blocks) if args.blocks is not None else None
-    bad = t.size - np.count_nonzero(np.isfinite(t.data))
-    if bad:
-        raise NumericalFailure(f"{args.input}: {bad} non-finite entries "
-                               f"in the input")
+    _require_finite(t, args.input)
     started = time.perf_counter()
     fmt = args.format
     failure = scheme = None
@@ -156,12 +166,15 @@ def cmd_reconstruct(args) -> int:
         raise JobSpecError(f"{args.model} is a dense tensor, not a model "
                            f"container")
     rec = reconstruct(model, scheme, cap=args.cap)
-    tio.write_dense(args.output, rec)
+    _require_finite(rec, f"the reconstruction of {args.model}")
     if args.against is not None:
         orig = tio.read_dense(args.against)
         if orig.dims != rec.dims:
             raise JobSpecError(f"--against dims {orig.dims} do not match "
                                f"reconstruction dims {rec.dims}")
+        _require_finite(orig, args.against)
+    tio.write_dense(args.output, rec)
+    if args.against is not None:
         print(f"rel_error={_rel_error(orig, rec)!r}")
     return 0
 
@@ -311,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--output", required=True)
     p.add_argument("--against", help="original .dten to compare with")
-    p.add_argument("--cap", type=int, default=2 ** 26)
+    p.add_argument("--cap", type=int, default=DENSE_CAP)
     _add_common(p)
     p.set_defaults(func=cmd_reconstruct)
 

@@ -54,15 +54,24 @@ class CPModel:
         return sum(f.size for f in self.factors) + self.rank
 
 
+def _unit_columns(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(``f`` with every nonzero column scaled to unit norm, the column
+    norms).  Each norm is :func:`tenkit.dense._norm` of its column, so no
+    square overflows or underflows at any scale, and only I x R arrays are
+    allocated."""
+    norms = np.array([_norm(col) for col in f.T])
+    return f / np.where(norms > 0, norms, 1.0), norms
+
+
 def normalize(m: CPModel) -> CPModel:
     """Unit-norm columns, scales collected in lambda >= 0, signs pushed into
-    the last factor.  Idempotent."""
-    factors = [f.copy() for f in m.factors]
+    the last factor.  Idempotent, and exact under power-of-two scaling: a
+    model with a factor scaled by 2^k gets 2^k times the weights."""
+    factors = []
     lam = m.weights.copy()
-    for f in factors:
-        norms = np.linalg.norm(f, axis=0)
-        nonzero = norms > 0
-        f[:, nonzero] /= norms[nonzero]
+    for f in m.factors:
+        f, norms = _unit_columns(f)
+        factors.append(f)
         lam *= norms
     neg = lam < 0
     if neg.any():
@@ -179,9 +188,7 @@ def _init_factors(dims, rank, rng, init, lefts):
                 f = np.hstack([f, extra])
         else:
             f = rng.standard_normal((d, rank))
-        norms = np.linalg.norm(f, axis=0)
-        norms[norms == 0] = 1.0
-        factors.append(f / norms)
+        factors.append(_unit_columns(f)[0])
     return factors
 
 
@@ -250,12 +257,9 @@ def cp_als(t: DenseTensor, rank: int, *, max_iters: int = 200,
                 for k in range(order):
                     if k != n - 1:
                         g *= grams[k]
-                f = _mttkrp(arr, factors, n) @ _pinv_gram(g)
                 # unit columns right after each update keep every Gram O(1)
                 # at any data scale; the scale sits in lambda
-                lam = np.array([_norm(col) for col in f.T])
-                nonzero = lam > 0
-                f[:, nonzero] /= lam[nonzero]
+                f, lam = _unit_columns(_mttkrp(arr, factors, n) @ _pinv_gram(g))
                 factors[n - 1] = f
                 grams[n - 1] = f.T @ f
             model = CPModel(lam, factors)

@@ -67,19 +67,16 @@ class TTModel:
                        dict(self.meta))
 
     def verify_orthogonality(self, tol: float = 1e-12) -> bool:
-        """Gram-test the declared canonical state."""
+        """Gram-test the declared canonical state.  The sites right of the
+        center are right-orthogonal exactly when they are left-orthogonal
+        in the mirrored chain, so one Gram test covers both sides."""
         if self.ortho_center is None:
             return True
-        for n in range(1, self.order + 1):
-            c = self.cores[n - 1]
-            if n < self.ortho_center:
-                m = c.reshape(-1, c.shape[2])
-                if np.max(np.abs(m.T @ m - np.eye(c.shape[2]))) > tol:
-                    return False
-            elif n > self.ortho_center:
-                m = c.reshape(c.shape[0], -1)
-                if np.max(np.abs(m @ m.T - np.eye(c.shape[0]))) > tol:
-                    return False
+        k = self.ortho_center
+        for c in self.cores[:k - 1] + _mirror(self.cores)[:self.order - k]:
+            m = c.reshape(-1, c.shape[2])
+            if np.max(np.abs(m.T @ m - np.eye(c.shape[2]))) > tol:
+                return False
         return True
 
     def __repr__(self) -> str:
@@ -183,6 +180,16 @@ def _left_factor(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, s
 
 
+def _fix_signs(u: np.ndarray) -> np.ndarray:
+    # Reproducibility: largest-magnitude entry of each column made positive.
+    if u.size == 0:
+        return u
+    picks = np.argmax(np.abs(u), axis=0)
+    signs = np.sign(u[picks, np.arange(u.shape[1])])
+    signs[signs == 0] = 1.0
+    return u * signs
+
+
 def _numerical_rank(s: np.ndarray, rtol: float) -> int:
     """Count of the singular values ``s`` (sorted, largest first) above
     ``rtol * s[0]``; 0 for an empty or all-zero ``s``."""
@@ -224,6 +231,52 @@ def _truncation_rank(s: np.ndarray, delta: float | None, cap: int | None) -> tup
     return r, which
 
 
+def _truncated_split(mat: np.ndarray, delta: float | None,
+                     cap: int | None) -> tuple[np.ndarray, np.ndarray, str]:
+    """The one truncated split: ``mat`` ~ left @ rest.  Returns
+    (left, rest, active bound).
+
+    ``left`` holds the leading left singular vectors of ``mat``
+    (:func:`_left_factor`), as many as :func:`_truncation_rank` keeps under
+    the tail budget ``delta`` and the cap, with the largest-magnitude entry
+    of every column made positive; ``rest`` is the projection left.T @ mat,
+    so |mat - left @ rest|_F is the discarded tail.  ``rest`` is computed
+    as (mat.T @ left).T: when mat.T is C-contiguous, rest.T is the
+    C-contiguous product and needs no copy.  HOSVD, TT-SVD, TT rounding and
+    the MALS split all truncate through here.
+    """
+    u, s = _left_factor(mat)
+    r, which = _truncation_rank(s, delta, cap)
+    left = _fix_signs(u[:, :r])
+    return left, (mat.T @ left).T, which
+
+
+def _qr_split(mat: np.ndarray, cap: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Untruncated split: the reduced QR, orthonormal Q on the left."""
+    return np.linalg.qr(mat)
+
+
+def _chain_sweep(cores: Sequence[np.ndarray], split: Callable,
+                 caps: Sequence[int | None]) -> list[np.ndarray]:
+    """Left-to-right pass over the first len(``caps``) bonds of a chain.
+
+    At site n the (R_{n-1} I_n, R_n) unfolding of the core is split by
+    ``split(mat, caps[n])`` into (left, rest) with orthonormal left columns
+    (the contract of :func:`_half_sweep`); ``left`` becomes the core and
+    site n+1 absorbs ``rest``.  The represented tensor changes only by what
+    the splits discard.  A right-to-left pass is this pass on the mirrored
+    chain (:func:`_mirror`).  Returns the new list; ``cores`` is not changed.
+    """
+    cores = list(cores)
+    for n, cap in enumerate(caps):
+        c, nxt = cores[n], cores[n + 1]
+        left, rest = split(c.reshape(-1, c.shape[2]), cap)
+        cores[n] = left.reshape(c.shape[0], c.shape[1], left.shape[1])
+        cores[n + 1] = (rest @ nxt.reshape(nxt.shape[0], -1)).reshape(
+            rest.shape[0], nxt.shape[1], nxt.shape[2])
+    return cores
+
+
 def _rank_caps(max_ranks, n_bonds: int) -> list[int | None]:
     if max_ranks is None:
         return [None] * n_bonds
@@ -248,9 +301,12 @@ def _mirror(cores: Sequence[np.ndarray]) -> list[np.ndarray]:
 
 def tt_svd(t: DenseTensor, eps: float | None = None,
            max_ranks=None) -> TTModel:
-    """TT-SVD: left-to-right truncated-SVD splits of the remainder matrix.
+    """TT-SVD: left-to-right truncated splits of the remainder matrix.
 
-    ``eps`` in [0, 1) bounds the total relative error; the per-split budget is
+    Each split is :func:`_truncated_split`: the left core is the leading
+    left singular vectors of the remainder (sign-fixed) and the next
+    remainder is its projection onto them.  ``eps`` in [0, 1) bounds the
+    total relative error; the per-split budget is
     delta = eps |t|_F / sqrt(N-1).  ``max_ranks`` (scalar or per-bond list)
     caps ranks and takes precedence over ``eps`` where both bind; the active
     bound per split lands in ``meta['active_bounds']``.  The result is
@@ -273,12 +329,11 @@ def tt_svd(t: DenseTensor, eps: float | None = None,
     rem_t = t.data
     for n, dim in enumerate(t.dims[:-1]):
         rem_t = rem_t.reshape(-1, dim * rank)
-        u, s = _left_factor(rem_t.T)
-        r, which = _truncation_rank(s, delta, caps[n])
+        left, rest, which = _truncated_split(rem_t.T, delta, caps[n])
         bounds.append(which)
-        cores.append(u[:, :r].reshape(dim, rank, r).transpose(1, 0, 2))
-        rem_t = rem_t @ u[:, :r]
-        rank = r
+        cores.append(left.reshape(dim, rank, -1).transpose(1, 0, 2))
+        # rest.T is rem_t @ left, the next C-order transposed remainder
+        rem_t, rank = rest.T, left.shape[1]
     cores.append(rem_t.reshape(t.dims[-1], rank).T[:, :, None])
     return TTModel(cores, ortho_center=n_modes,
                    meta={"active_bounds": bounds})
@@ -417,23 +472,17 @@ def tt_outer_sum(m: TTModel, cap: int = DENSE_CAP) -> DenseTensor:
 
 
 def tt_orthogonalize(m: TTModel, center: int) -> TTModel:
-    """Mixed-canonical form: QR sweeps make sites < center left-orthogonal and
-    sites > center right-orthogonal, absorbing the triangular factors toward
-    the center.  Reconstruction is unchanged up to roundoff and the full norm
+    """Mixed-canonical form by two QR chain sweeps (:func:`_chain_sweep`):
+    one over sites 1..center-1 makes them left-orthogonal, and one over the
+    mirrored chain's first N-center sites makes sites > center
+    right-orthogonal; each sweep absorbs its triangular factors toward the
+    center.  Reconstruction is unchanged up to roundoff and the full norm
     concentrates in the center core."""
     if not 1 <= center <= m.order:
         raise ValueError(f"center {center} out of range 1..{m.order}")
-    cores = [c.copy() for c in m.cores]
-    for n in range(center - 1):
-        c = cores[n]
-        q, r = np.linalg.qr(c.reshape(-1, c.shape[2]))
-        cores[n] = q.reshape(c.shape[0], c.shape[1], q.shape[1])
-        cores[n + 1] = np.tensordot(r, cores[n + 1], axes=(1, 0))
-    for n in range(m.order - 1, center - 1, -1):
-        c = cores[n]
-        q, r = np.linalg.qr(c.reshape(c.shape[0], -1).T)
-        cores[n] = q.T.reshape(q.shape[1], c.shape[1], c.shape[2])
-        cores[n - 1] = np.tensordot(cores[n - 1], r.T, axes=(2, 0))
+    cores = _chain_sweep(m.cores, _qr_split, [None] * (center - 1))
+    cores = _mirror(_chain_sweep(_mirror(cores), _qr_split,
+                                 [None] * (m.order - center)))
     return TTModel(cores, ortho_center=center)
 
 
@@ -445,29 +494,32 @@ def tt_norm(m: TTModel) -> float:
 
 
 def tt_round(m: TTModel, eps: float = 0.0, max_ranks=None) -> TTModel:
-    """TT-rounding: right-orthogonalize, then truncate with an SVD sweep.
+    """TT-rounding: right-orthogonalize, then one chain sweep of truncated
+    splits (:func:`_chain_sweep` with :func:`_truncated_split`).
 
-    Ranks never increase; the result satisfies |m - round(m)| <= eps |m| and
-    rounding twice at the same eps is a no-op up to roundoff.  With eps = 0
-    only exactly zero singular values are dropped.
+    With the sites right of the current one orthogonal, the singular values
+    of each core's unfolding are those of the tensor's bond unfolding.  The
+    kept left singular vectors become the core and the next core absorbs
+    the projection of the current one onto them.  Ranks never increase;
+    the result satisfies |m - round(m)| <= eps |m| and rounding twice at
+    the same eps is a no-op up to roundoff.  With eps = 0 only exactly zero
+    singular values are dropped.  The active bound per bond lands in
+    ``meta['active_bounds']``.
     """
     if not (np.isfinite(eps) and eps >= 0.0):
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
     caps = _rank_caps(max_ranks, max(m.order - 1, 0))
-    w = tt_orthogonalize(m, 1)
-    cores = w.cores
-    norm = _norm(cores[0])
-    delta = eps * norm / sqrt(max(m.order - 1, 1))
+    cores = tt_orthogonalize(m, 1).cores
+    delta = eps * _norm(cores[0]) / sqrt(max(m.order - 1, 1))
     bounds = []
-    for n in range(m.order - 1):
-        c = cores[n]
-        u, s, vt = np.linalg.svd(c.reshape(-1, c.shape[2]), full_matrices=False)
-        r, which = _truncation_rank(s, delta, caps[n])
+
+    def split(mat, cap):
+        left, rest, which = _truncated_split(mat, delta, cap)
         bounds.append(which)
-        cores[n] = u[:, :r].reshape(c.shape[0], c.shape[1], r)
-        cores[n + 1] = np.tensordot(s[:r, None] * vt[:r], cores[n + 1],
-                                    axes=(1, 0))
-    return TTModel(cores, ortho_center=m.order, meta={"active_bounds": bounds})
+        return left, rest
+
+    return TTModel(_chain_sweep(cores, split, caps), ortho_center=m.order,
+                   meta={"active_bounds": bounds})
 
 
 def tt_storage(m: TTModel) -> int:
@@ -631,15 +683,15 @@ def tt_als(t: DenseTensor, ranks: Sequence[int] | int, *,
     cores = [rng.standard_normal((chain[n], dims[n], chain[n + 1]))
              for n in range(n_modes)]
     cores = tt_orthogonalize(TTModel(cores), 1).cores
-    return _sweeps(t, norm_t, cores, 1, lambda mat, _: np.linalg.qr(mat),
+    return _sweeps(t, norm_t, cores, 1, _qr_split,
                    [None] * (n_modes - 1), max_sweeps, 0.0, tol, cap)
 
 
 def _svd_splitter(mat: np.ndarray, delta: float,
                   cap: int | None) -> tuple[np.ndarray, np.ndarray]:
-    u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    r, _ = _truncation_rank(s, delta, cap)
-    return u[:, :r], s[:r, None] * vt[:r]
+    """:func:`_truncated_split` as ``tt_mals``' default ``splitter``."""
+    left, rest, _ = _truncated_split(mat, delta, cap)
+    return left, rest
 
 
 def tt_mals(t: DenseTensor, eps: float, *, max_sweeps: int = 10,
@@ -648,8 +700,9 @@ def tt_mals(t: DenseTensor, eps: float, *, max_sweeps: int = 10,
     """Two-site MALS/DMRG sweeps with rank adaptation.
 
     Neighboring cores are merged into a supercore, set to the projection of
-    ``t`` onto the orthonormal interfaces, and split back by a truncated SVD
-    at the local tolerance eps |t|_F / sqrt(N-1); bond ranks adapt both ways.
+    ``t`` onto the orthonormal interfaces, and split back by the truncated
+    split of TT-SVD and rounding (:func:`_truncated_split`) at the local
+    tolerance eps |t|_F / sqrt(N-1); bond ranks adapt both ways.
     As in :func:`tt_als`, each half-sweep carries the shrinking projected
     tensor, so only its first window touches the full tensor and it costs
     O(R size) plus the splits; the dense residual after it costs one :func:`tt_reconstruct`.

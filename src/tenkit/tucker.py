@@ -9,9 +9,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dense import DenseTensor, _sum_tensors, frobenius_norm, unfold
+from .dense import DenseTensor, _sum_tensors, fold, frobenius_norm, unfold
 from .ops import mode_n_matrix_product, multilinear_product
-from .ttrain import _left_factor, _numerical_rank, _truncation_rank, _tsqr_r
+from .ttrain import (_fix_signs, _left_factor, _numerical_rank,
+                     _truncated_split, _tsqr_r)
 
 _PINV_RCOND = 1e-12
 _ORTHO_RTOL = 1e-10
@@ -63,34 +64,27 @@ def tucker_reconstruct(m: TuckerModel) -> DenseTensor:
     return multilinear_product(m.core, m.factors)
 
 
-def _fix_signs(u: np.ndarray) -> np.ndarray:
-    # Reproducibility: largest-magnitude entry of each column made positive.
-    if u.size == 0:
-        return u
-    picks = np.argmax(np.abs(u), axis=0)
-    signs = np.sign(u[picks, np.arange(u.shape[1])])
-    signs[signs == 0] = 1.0
-    return u * signs
-
-
 def hosvd(t: DenseTensor, ranks: Sequence[int] | None = None,
           eps: float | None = None,
           identity_modes: Iterable[int] = ()) -> TuckerModel:
     """Sequentially truncated higher-order SVD (exact or truncated).
 
     Modes are processed in ascending order (identity modes skipped, giving a
-    Tucker-(K,N) model): mode n's factor holds the leading left singular
-    vectors of the mode-n unfolding of the tensor already projected on the
-    earlier factors, t x_1 U1^T ... x_{n-1} U_{n-1}^T, and projecting on
-    U_n as well leaves the core (Vannieuwenhoven, Vandebril & Meerbergen,
-    SISC 2012).  Exactly one of ``ranks``/``eps`` may be given: ``ranks``
-    pins per-mode truncation (a rank above what the projected unfolding has
-    columns for is lowered to that count), ``eps`` in [0, 1) picks per-mode
-    ranks so the total relative error stays within ``eps`` (the squared
-    budget is split equally across non-identity modes).  The squared error
-    is the sum of the squared singular values discarded at each step, at
-    most those the plain HOSVD of ``t`` discards.  With neither, the full
-    (untruncated) HOSVD is returned.
+    Tucker-(K,N) model).  Each mode is one truncated split
+    (:func:`ttrain._truncated_split`, shared with TT-SVD and TT rounding)
+    of the mode-n unfolding of the tensor already projected on the earlier
+    factors, t x_1 U1^T ... x_{n-1} U_{n-1}^T: mode n's factor holds its
+    leading left singular vectors, sign-fixed, and the split's projection,
+    folded back, is the next tensor, so the last one is the core
+    (Vannieuwenhoven, Vandebril & Meerbergen, SISC 2012).  Exactly one of
+    ``ranks``/``eps`` may be given: ``ranks`` pins per-mode truncation (a
+    rank above what the projected unfolding has columns for is lowered to
+    that count), ``eps`` in [0, 1) picks per-mode ranks so the total
+    relative error stays within ``eps`` (the squared budget is split
+    equally across non-identity modes).  The squared error is the sum of
+    the squared singular values discarded at each step, at most those the
+    plain HOSVD of ``t`` discards.  With neither, the full (untruncated)
+    HOSVD is returned.
     """
     identity_modes = tuple(sorted(set(identity_modes)))
     for n in identity_modes:
@@ -122,13 +116,12 @@ def hosvd(t: DenseTensor, ranks: Sequence[int] | None = None,
         if n in identity_modes:
             factors.append(None)
             continue
-        u, s = _left_factor(unfold(core, n))
-        if ranks is not None:
-            r = ranks[n - 1]
-        else:
-            r, _ = _truncation_rank(s, delta, None)
-        factors.append(_fix_signs(u[:, :r]))
-        core = mode_n_matrix_product(core, factors[-1].T, n)
+        cap = ranks[n - 1] if ranks is not None else None
+        u, rest, _ = _truncated_split(unfold(core, n), delta, cap)
+        factors.append(u)
+        dims = list(core.dims)
+        dims[n - 1] = u.shape[1]
+        core = fold(rest, n, dims)
     return TuckerModel(core, factors)
 
 

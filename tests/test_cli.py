@@ -16,7 +16,7 @@ from tenkit.cli import BENCH_HEADER, main
 from tenkit.cpd import CPModel, cp_reconstruct
 from tenkit.dense import DenseTensor
 from tenkit.tucker import TuckerModel
-from tenkit.ttrain import TTMatrixModel, tt_reconstruct
+from tenkit.ttrain import TTMatrixModel, TTModel, tt_reconstruct
 
 
 def write_fixture(tmp_path, name, tensor):
@@ -459,6 +459,29 @@ def test_decompose_nan_input_exit_3(tmp_path, capsys):
         assert "numerical failure" in err and "2 non-finite entries" in err
         assert stdout == ""
         assert not (tmp_path / out).exists()
+
+
+def test_reconstruct_non_finite_exit_3(tmp_path, capsys):
+    # a NaN in the --against tensor, and a reconstruction that overflows
+    model = str(tmp_path / "m.ttm")
+    tio.write_tt(model, random_tt((3, 3, 3), (2, 2), seed=3))
+    arr = np.ones((3, 3, 3))
+    arr[1, 2, 0] = np.nan
+    against = write_fixture(tmp_path, "x.dten", DenseTensor.from_array(arr))
+    huge = str(tmp_path / "h.ttm")
+    tio.write_tt(huge, TTModel([c * 1e120 for c in
+                                random_tt((3, 3, 3), (2, 2), seed=4).cores]))
+    out = tmp_path / "r.dten"
+    for args, what in [([model, "--against", against], "1 non-finite entries"),
+                       ([huge], "non-finite entries")]:
+        # the overflow itself is numpy's warning; the exit code is the check
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, stdout, err = run(["reconstruct", *args, "--output",
+                                     str(out)], capsys)
+        assert code == 3, err
+        assert "numerical failure" in err and what in err
+        assert stdout == ""
+        assert not out.exists()
 
 
 def test_model_header_without_rank_exit_1(tmp_path, capsys):

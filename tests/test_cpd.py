@@ -128,6 +128,21 @@ def test_reconstruct_invariant_under_column_permutation():
                        rtol=1e-13, atol=1e-13)
 
 
+@pytest.mark.parametrize("k", [600, -600])
+def test_normalize_exact_at_extreme_scales(k):
+    # squares of entries near 2^+-600 leave the double range; the column
+    # norms must not, and the power of two must land in the weights alone
+    rng = np.random.default_rng(6)
+    m = CPModel(rng.standard_normal(2),
+                [rng.standard_normal((3, 2)) for _ in range(3)])
+    scaled = CPModel(m.weights, [np.ldexp(m.factors[0], k)] + m.factors[1:])
+    want, got = normalize(m), normalize(scaled)
+    assert np.array_equal(got.weights, np.ldexp(want.weights, k))
+    for f, g in zip(want.factors, got.factors):
+        assert np.array_equal(f, g)
+        assert np.allclose(np.linalg.norm(g, axis=0), 1.0, rtol=1e-15)
+
+
 def test_normalize_idempotent_and_scale_invariant():
     rng = np.random.default_rng(5)
     m = CPModel(rng.standard_normal(3),

@@ -1,18 +1,24 @@
 """Tensor trains: TT-SVD, MPO construction, representations, canonical forms,
 rounding, ALS and MALS sweeps, strong-Kronecker chains, storage counts."""
 
+import ast
+import inspect
+import textwrap
 import tracemalloc
 from math import prod
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tenkit.ttrain as tt_module
+import tenkit.tucker as tucker_module
 from helpers import noisy_cp_cube, random_tt
 from tenkit.cpd import cp_als
 from tenkit.dense import (BIG_ENDIAN, DenseTensor, UnfoldingSpec,
                           frobenius_norm, unfold, unfold_general, vectorize)
-from tenkit.quantize import QuantizationScheme, qtt_decompress
+from tenkit.quantize import QuantizationScheme, qtt_compress, qtt_decompress
 from tenkit.ttrain import (TTMatrixModel, TTModel, _half_sweep, _left_factor,
                            _numerical_rank, _right_interfaces, _svd_splitter, tt_als,
                            tt_element, tt_mals, tt_norm, tt_orthogonalize,
@@ -292,6 +298,113 @@ def test_tt_round_rejects_bad_eps(eps):
     m = random_tt((3, 3, 3), (2, 2), seed=18)
     with pytest.raises(ValueError, match="eps must be finite and >= 0"):
         tt_round(m, eps=eps)
+
+
+def _textbook_round(m, eps, max_ranks):
+    """TT rounding as first written, kept as the reference: right-
+    orthogonalize site by site with QR, then take a full SVD of every bond
+    and let the next core absorb s vt."""
+    cores = [c.copy() for c in m.cores]
+    for n in range(m.order - 1, 0, -1):
+        c = cores[n]
+        q, r = np.linalg.qr(c.reshape(c.shape[0], -1).T)
+        cores[n] = q.T.reshape(q.shape[1], c.shape[1], c.shape[2])
+        cores[n - 1] = np.tensordot(cores[n - 1], r.T, axes=(2, 0))
+    budget = (eps * np.linalg.norm(cores[0])) ** 2 / max(m.order - 1, 1)
+    caps = [max_ranks] * (m.order - 1) if np.isscalar(max_ranks) or \
+        max_ranks is None else max_ranks
+    for n in range(m.order - 1):
+        c = cores[n]
+        u, s, vt = np.linalg.svd(c.reshape(-1, c.shape[2]),
+                                 full_matrices=False)
+        tail = np.cumsum(s[::-1] ** 2)[::-1]
+        r = s.size
+        while r > 1 and tail[r - 1] <= budget:
+            r -= 1
+        r = r if caps[n] is None else min(r, caps[n])
+        cores[n] = u[:, :r].reshape(c.shape[0], c.shape[1], r)
+        cores[n + 1] = np.tensordot(s[:r, None] * vt[:r], cores[n + 1],
+                                    axes=(1, 0))
+    return TTModel(cores)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("eps,max_ranks", [
+    (0.0, None), (1e-8, None), (0.05, None), (0.3, None),
+    (0.0, 2), (0.05, [3, 1, 4, 2]),
+])
+def test_tt_round_matches_textbook_sweep(seed, eps, max_ranks):
+    # over-ranked random chains, so every bond has something to truncate
+    m = random_tt((3, 4, 2, 5, 3), (4, 6, 5, 3), seed=100 + seed)
+    got, want = tt_round(m, eps, max_ranks), _textbook_round(m, eps, max_ranks)
+    assert got.ranks == want.ranks
+    diff = tt_reconstruct(got).data - tt_reconstruct(want).data
+    assert np.linalg.norm(diff) <= 1e-12 * tt_norm(m)
+
+
+def _left_cores_sign_fixed(cores):
+    # the largest-magnitude entry of every column of each (R I, R') unfolding
+    # is positive
+    for c in cores:
+        mat = c.reshape(-1, c.shape[2])
+        assert np.all(mat[np.argmax(np.abs(mat), axis=0),
+                          np.arange(mat.shape[1])] > 0)
+
+
+def test_every_truncated_factor_has_one_sign_convention():
+    t = tt_reconstruct(random_tt((4, 5, 3, 4), (3, 4, 3), seed=41))
+    for kwargs in ({"eps": 1e-10}, {"ranks": (2, 3, 2, 3)}):
+        _left_cores_sign_fixed(f[None] for f in hosvd(t, **kwargs).factors)
+    _left_cores_sign_fixed(tt_svd(t, eps=1e-10).cores[:-1])
+    _left_cores_sign_fixed(tt_svd(t, max_ranks=2).cores[:-1])
+    _left_cores_sign_fixed(tt_round(random_tt((4, 5, 3, 4), (3, 4, 3),
+                                              seed=42), eps=1e-3).cores[:-1])
+    signal = DenseTensor.from_array(np.sin(np.linspace(0, 7, 64)) +
+                                    np.linspace(-1, 1, 64) ** 3)
+    _left_cores_sign_fixed(qtt_compress(signal, eps=1e-10)[0].cores[:-1])
+
+
+def test_one_split_per_truncation(monkeypatch):
+    calls = []
+
+    def spy(mat, delta, cap):
+        calls.append(mat.shape)
+        return split(mat, delta, cap)
+
+    split = tt_module._truncated_split
+    monkeypatch.setattr(tt_module, "_truncated_split", spy)
+    monkeypatch.setattr(tucker_module, "_truncated_split", spy)
+    t = fixture_tensor(seed=43, dims=(4, 5, 3, 4, 3), ranks=(3, 4, 3, 2))
+    tt_svd(t, eps=1e-6)
+    assert len(calls) == 4
+    calls.clear()
+    tt_round(random_tt((4, 5, 3, 4, 3), (3, 4, 3, 2), seed=43), eps=1e-6)
+    assert len(calls) == 4
+    calls.clear()
+    hosvd(t, eps=1e-6, identity_modes=(2, 5))
+    assert [shape[0] for shape in calls] == [4, 3, 4]
+
+
+def test_split_and_sweep_structure():
+    # one truncation rule with one caller, one SVD site in ttrain, and no
+    # loop of their own in tt_orthogonalize and tt_round (the chain sweep
+    # holds it)
+    def called_in(path, name):
+        tree = ast.parse(Path(path).read_text())
+        return {fn.name for fn in ast.walk(tree)
+                if isinstance(fn, ast.FunctionDef) and fn.name != name and
+                any(isinstance(c, ast.Call) and ast.unparse(c.func) == name
+                    for c in ast.walk(fn))}
+
+    src = Path(tt_module.__file__).parent
+    callers = set().union(*(called_in(p, "_truncation_rank")
+                            for p in src.glob("*.py")))
+    assert callers == {"_truncated_split"}
+    assert called_in(tt_module.__file__, "np.linalg.svd") == {"_left_factor"}
+    for fn in (tt_orthogonalize, tt_round):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        assert not any(isinstance(node, (ast.For, ast.While, ast.comprehension))
+                       for node in ast.walk(tree)), fn.__name__
 
 
 def test_tt_als_exact_rank_target():
