@@ -165,7 +165,10 @@ def cmd_reconstruct(args) -> int:
     if isinstance(model, DenseTensor):
         raise JobSpecError(f"{args.model} is a dense tensor, not a model "
                            f"container")
-    rec = reconstruct(model, scheme, cap=args.cap)
+    # an overflowing product is numpy's warning; the finiteness check alone
+    # decides, so the job exits 3 under -W error too
+    with np.errstate(over="ignore", invalid="ignore"):
+        rec = reconstruct(model, scheme, cap=args.cap)
     _require_finite(rec, f"the reconstruction of {args.model}")
     if args.against is not None:
         orig = tio.read_dense(args.against)

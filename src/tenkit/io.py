@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import struct
 from math import prod
 from pathlib import Path
@@ -46,28 +47,52 @@ def _write(path, magic: bytes, header: dict, payloads) -> None:
         fh.write(magic)
         fh.write(struct.pack("<II", _VERSION, len(blob)))
         fh.write(blob)
+        # the file takes the array's own buffer; only a big-endian or a
+        # not first-index-fastest contiguous array is converted first
         for arr in payloads:
-            fh.write(np.asarray(arr, dtype="<f8").ravel(order="F").tobytes())
+            fh.write(memoryview(np.asarray(arr, dtype="<f8").ravel(order="F")))
 
 
-def _read(path, magic: bytes) -> tuple[dict, np.ndarray]:
-    raw = Path(path).read_bytes()
-    if len(raw) < 12 or raw[:4] != magic:
+def _read_header(fh, path, magic: bytes) -> dict:
+    """Parse the envelope and the JSON header from ``fh``, which is left at
+    the payload's first byte."""
+    envelope = fh.read(12)
+    if len(envelope) < 12 or envelope[:4] != magic:
         raise ContainerError(f"{path}: bad magic; expected "
                              f"{magic.decode()} container")
-    version, hlen = struct.unpack("<II", raw[4:12])
+    version, hlen = struct.unpack("<II", envelope[4:12])
     if version != _VERSION:
         raise ContainerError(f"{path}: unsupported version {version}")
-    if len(raw) < 12 + hlen:
+    # checked against the file size before reading, so a corrupt length
+    # allocates nothing
+    if os.fstat(fh.fileno()).st_size < 12 + hlen:
         raise ContainerError(f"{path}: truncated header")
     try:
-        header = json.loads(raw[12:12 + hlen].decode("utf-8"))
+        header = json.loads(fh.read(hlen).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ContainerError(f"{path}: malformed header: {exc}") from exc
     if not isinstance(header, dict):
         raise ContainerError(f"{path}: header is not a JSON object")
-    payload = np.frombuffer(raw[12 + hlen:], dtype="<f8")
-    return header, payload
+    return header
+
+
+def _read_payload(fh, path) -> np.ndarray:
+    """The rest of ``fh`` as scalars, read once into the array that owns
+    them."""
+    nbytes = os.fstat(fh.fileno()).st_size - fh.tell()
+    if nbytes % 8:
+        raise ContainerError(f"{path}: payload of {nbytes} bytes is not a "
+                             f"whole number of 8-byte scalars")
+    payload = np.empty(nbytes // 8, dtype="<f8")
+    if fh.readinto(payload) != nbytes:
+        raise ContainerError(f"{path}: file ends before its payload does")
+    return payload
+
+
+def _read(path, magic: bytes) -> tuple[dict, np.ndarray]:
+    with open(path, "rb") as fh:
+        header = _read_header(fh, path, magic)
+        return header, _read_payload(fh, path)
 
 
 def _is_count(v) -> bool:
@@ -147,7 +172,7 @@ def read_dense(path) -> DenseTensor:
     if payload.size != prod(dims):
         raise ContainerError(f"{path}: payload has {payload.size} scalars, "
                              f"header declares {prod(dims)}")
-    return DenseTensor(dims, payload)
+    return DenseTensor(dims, payload, copy=False)
 
 
 def write_cp(path, m: CPModel) -> None:

@@ -430,17 +430,22 @@ def tt_reconstruct(m: TTModel, cap: int = DENSE_CAP) -> DenseTensor:
     O(R size) of a chain contracted from one end, and the output is written
     once, at R_k multiply-adds per entry.
     """
+    _check_cap(prod(m.dims), cap)
+    return DenseTensor(m.dims, _tt_buffer(m), copy=False)
+
+
+def _tt_buffer(m: TTModel) -> np.ndarray:
+    """The first-index-fastest buffer of :func:`tt_reconstruct`, writable
+    and uncapped."""
     dims = m.dims
     size = prod(dims)
-    _check_cap(size, cap)
     k = 0
     while prod(dims[:k]) ** 2 < size:
         k += 1
     mirrored = _mirror(m.cores)
     right = _contract_chain(np.ones((1, 1)), mirrored[:m.order - k])
     left = _contract_chain(np.eye(right.shape[1]), mirrored[m.order - k:])
-    return DenseTensor(dims, right @ left.reshape(right.shape[1], -1),
-                       copy=False)
+    return (right @ left.reshape(right.shape[1], -1)).reshape(-1)
 
 
 def ttm_reconstruct(m: TTMatrixModel, cap: int = DENSE_CAP) -> DenseTensor:
@@ -556,8 +561,12 @@ def _right_interfaces(cores: Sequence[np.ndarray]) -> list[np.ndarray]:
 def _residual(t: DenseTensor, cores, norm_t: float, cap: int,
               center: np.ndarray) -> float:
     if prod(t.dims) <= cap:
-        rec = tt_reconstruct(TTModel(list(cores)))
-        return _norm(t.data - rec.data) / norm_t
+        # the residual overwrites the reconstruction's buffer: one
+        # tensor-sized temporary is live, not two; rec - t is t - rec negated
+        # exactly, so its norm is the same
+        resid = _tt_buffer(TTModel(list(cores)))
+        np.subtract(resid, t.data, out=resid)
+        return _norm(resid) / norm_t
     # over-cap fallback: with orthonormal interfaces the projection identity
     # |X - Xhat|^2 = |X|^2 - |G_center|^2 holds (floors near sqrt(eps_mach))
     return sqrt(max(1.0 - (_norm(center) / norm_t) ** 2, 0.0))

@@ -2,7 +2,10 @@
 
 import csv
 import io as stdio
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -474,14 +477,28 @@ def test_reconstruct_non_finite_exit_3(tmp_path, capsys):
     out = tmp_path / "r.dten"
     for args, what in [([model, "--against", against], "1 non-finite entries"),
                        ([huge], "non-finite entries")]:
-        # the overflow itself is numpy's warning; the exit code is the check
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, stdout, err = run(["reconstruct", *args, "--output",
-                                     str(out)], capsys)
+        code, stdout, err = run(["reconstruct", *args, "--output", str(out)],
+                                capsys)
         assert code == 3, err
         assert "numerical failure" in err and what in err
         assert stdout == ""
         assert not out.exists()
+
+
+def test_reconstruct_overflow_exit_3_under_warnings_as_errors(tmp_path):
+    # numpy's overflow warning must not turn into a traceback and exit 1
+    huge = str(tmp_path / "h.ttm")
+    tio.write_tt(huge, TTModel([c * 1e120 for c in
+                                random_tt((3, 3, 3), (2, 2), seed=4).cores]))
+    out = tmp_path / "r.dten"
+    env = dict(os.environ, PYTHONPATH=str(Path(tio.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "tenkit.cli",
+                           "reconstruct", huge, "--output", str(out)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert "non-finite entries" in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert not out.exists()
 
 
 def test_model_header_without_rank_exit_1(tmp_path, capsys):

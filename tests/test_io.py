@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from tenkit.cpd import CPModel, cp_reconstruct, normalize
 from tenkit.cur import FSTDModel, fstd
 from tenkit.dense import DenseTensor
 from tenkit.quantize import QuantizationScheme, qtt_compress
-from tenkit.tucker import hosvd, tucker_reconstruct
+from tenkit.tucker import TuckerModel, hosvd, tucker_reconstruct
 from tenkit.ttrain import ttm_svd
 
 
@@ -58,6 +59,59 @@ def test_dten_malformed(tmp_path):
     good.write_bytes(good.read_bytes()[:-8])
     with pytest.raises(tio.ContainerError):
         tio.read_dense(good)
+
+
+def test_dten_payload_with_a_partial_scalar(tmp_path):
+    path = tmp_path / "odd.dten"
+    tio.write_dense(path, rt((2, 2), 1))
+    path.write_bytes(path.read_bytes() + b"\0\0\0")
+    with pytest.raises(tio.ContainerError, match="odd.dten.*whole number"):
+        tio.read_dense(path)
+
+
+def test_header_length_past_the_end_of_file(tmp_path):
+    path = tmp_path / "long.dten"
+    tio.write_dense(path, rt((2, 2), 1))
+    raw = path.read_bytes()
+    size = len(raw)
+    for hlen in (size - 11, 2 ** 32 - 1):
+        path.write_bytes(raw[:8] + struct.pack("<I", hlen) + raw[12:])
+        with pytest.raises(tio.ContainerError,
+                           match="long.dten: truncated header"):
+            tio.read_dense(path)
+
+
+def test_read_dense_owns_its_payload_read_only(tmp_path):
+    path = tmp_path / "t.dten"
+    tio.write_dense(path, rt((3, 4), 2))
+    data = tio.read_dense(path).data
+    assert not data.flags.writeable
+    root = data
+    while root.base is not None:
+        root = root.base
+    assert isinstance(root, np.ndarray) and root.flags.owndata
+
+
+def _traced_peak(fn) -> int:
+    """Bytes ``fn()`` allocated at its peak beyond what was live before."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - before
+
+
+def test_dense_io_moves_the_payload_without_copies(tmp_path):
+    # a read holds the one array the tensor keeps; a write holds no copy
+    t = rt((2 ** 20,), 3)
+    path = tmp_path / "big.dten"
+    tio.write_dense(path, t)
+    assert _traced_peak(lambda: tio.read_dense(path)) <= 2 ** 23 + 2 ** 16
+    assert _traced_peak(lambda: tio.write_dense(path, t)) < 2 ** 20
+    assert np.array_equal(tio.read_dense(path).data, t.data)
 
 
 @pytest.mark.parametrize("name, write, key", [
@@ -189,6 +243,58 @@ def test_write_model_read_model_roundtrip(tmp_path, name, obj, scheme):
         back, obj = reconstruct(back, back_scheme), reconstruct(obj, scheme)
     assert back.dims == obj.dims
     assert np.array_equal(back.data, obj.data)
+
+
+def _payloads(obj) -> list:
+    """The arrays a container stores, in file order."""
+    if isinstance(obj, DenseTensor):
+        return [obj.data]
+    if isinstance(obj, CPModel):
+        return obj.factors
+    if isinstance(obj, FSTDModel):
+        return _payloads(obj.tucker)
+    if isinstance(obj, TuckerModel):
+        return [obj.core.data] + [f for f in obj.factors if f is not None]
+    if isinstance(obj, HOPTANode):
+        if obj.tensor is not None:
+            return [obj.tensor.data]
+        return [a for term in obj.terms for child in term
+                for a in _payloads(child)]
+    return obj.cores
+
+
+def _classic_container(path, magic, payloads) -> bytes:
+    """The container bytes as header, then each payload's column-major
+    ``tobytes``: the reference layout written files must keep."""
+    raw = Path(path).read_bytes()
+    hlen = struct.unpack("<I", raw[8:12])[0]
+    return magic + struct.pack("<II", 1, hlen) + raw[12:12 + hlen] + b"".join(
+        np.asarray(a, dtype="<f8").ravel(order="F").tobytes() for a in payloads)
+
+
+@pytest.mark.parametrize("name, obj, scheme", _ZOO, ids=[z[0] for z in _ZOO])
+def test_written_containers_are_byte_identical(tmp_path, name, obj, scheme):
+    path = tmp_path / name
+    tio.write_model(path, obj, scheme)
+    magic = tio._EXT_MAGIC[Path(name).suffix]
+    assert path.read_bytes() == _classic_container(path, magic, _payloads(obj))
+
+
+def test_written_payloads_of_strided_and_big_endian_arrays(tmp_path):
+    rng = np.random.default_rng(8)
+    transposed = rng.standard_normal((2, 5)).T
+    cp = CPModel(np.ones(2), [transposed, rng.standard_normal((3, 2))])
+    assert not cp.factors[0].flags.c_contiguous
+    path = tmp_path / "m.cpm"
+    tio.write_cp(path, cp)
+    assert path.read_bytes() == _classic_container(path, tio.MAGIC_CPM,
+                                                   [transposed, cp.factors[1]])
+    big = rng.standard_normal((3, 4)).astype(">f8")
+    strided = rng.standard_normal((4, 6))[:, ::2]
+    path = tmp_path / "raw.cpm"
+    tio._write(path, tio.MAGIC_CPM, {}, [big, big.T, strided])
+    assert path.read_bytes() == _classic_container(
+        path, tio.MAGIC_CPM, [big, big.T, strided])
 
 
 def test_write_model_rejects_unknown_objects(tmp_path):

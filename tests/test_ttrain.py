@@ -428,6 +428,40 @@ def test_tt_als_residual_monotone():
     assert np.all(np.diff(hist) <= 1e-12)
 
 
+def test_residual_history_is_bitwise_the_plain_difference(monkeypatch):
+    # the residual is formed as rec - t in the reconstruction's buffer; the
+    # negation is exact, so every entry equals |t - rec| / |t| bit for bit
+    rng = np.random.default_rng(23)
+    t = DenseTensor.from_array(rng.standard_normal((4, 5, 4, 3)))
+    residual, seen = tt_module._residual, []
+
+    def checked(t, cores, norm_t, cap, center):
+        rec = tt_reconstruct(TTModel(list(cores)))
+        seen.append((residual(t, cores, norm_t, cap, center),
+                     tt_module._norm(t.data - rec.data) / norm_t))
+        return seen[-1][0]
+    monkeypatch.setattr(tt_module, "_residual", checked)
+    tt_als(t, (2, 3, 2), max_sweeps=3, tol=0.0, seed=3)
+    tt_mals(t, eps=0.3, max_sweeps=2, seed=4)
+    assert len(seen) >= 8
+    assert all(new == old > 0 for new, old in seen)
+
+
+def test_residual_holds_one_tensor_sized_temporary():
+    # as in test_tt_reconstruct_allocates_little_beyond_its_output: the
+    # reconstruction is the only tensor-sized allocation, and the residual
+    # is formed in it
+    m = random_tt((2,) * 16, (4,) * 15, seed=41)
+    t = tt_reconstruct(random_tt((2,) * 16, (4,) * 15, seed=42))
+    tracemalloc.start()
+    try:
+        tt_module._residual(t, m.cores, 1.0, 2 ** 16, m.cores[0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 16 + 2 ** 16
+
+
 def test_tt_als_infeasible_ranks():
     t = separable_tensor(seed=22, dims=(3, 3, 3))
     with pytest.raises(ValueError, match="infeasible"):
