@@ -48,10 +48,17 @@ def _int_list(text: str) -> list[int]:
 
 def _rel_error(t: DenseTensor, rec: DenseTensor) -> float:
     """|t - rec| / |t|: 0 for an exact fit, inf when only t is zero."""
-    err = _norm(t.data - rec.data)
+    x, y = t.data, rec.data
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = _norm(x - y)
+        if err == inf:
+            # finite entries whose difference overflows: halving both is
+            # exact (a subnormal's lost bit cannot move this ratio)
+            x, y = x * 0.5, y * 0.5
+            err = _norm(x - y)
     if not err:
         return 0.0
-    norm = _norm(t.data)
+    norm = _norm(x)
     return err / norm if norm else inf
 
 

@@ -174,6 +174,27 @@ def unfold(t: DenseTensor, n: int) -> np.ndarray:
     return arr.reshape(t.dims[n - 1], -1, order="F")
 
 
+def _unfolding_row_blocks(t: DenseTensor, n: int, bounds: Sequence[int]):
+    """Yield the row blocks ``bounds[i]:bounds[i + 1]`` of the transposed
+    mode-n unfolding unfold(t, n)^T, which is never formed (n is valid).
+
+    The blocks are read from the free F-order (I_<n, I_n, I_>n) view of the
+    canonical buffer, whose slab [:, :, s] holds rows s I_<n to
+    (s + 1) I_<n - 1.  A block inside one slab is a view of the buffer; any
+    other block is gathered from the slabs it touches, the only copy (a view
+    when I_<n = 1).
+    """
+    lo, mid = prod(t.dims[:n - 1]), t.dims[n - 1]
+    a = t.data.reshape((lo, mid, -1), order="F")
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        s, p = divmod(start, lo)
+        if p + stop - start <= lo:
+            yield a[p:p + stop - start, :, s]
+        else:
+            slabs = a[:, :, s:-(-stop // lo)].transpose(2, 0, 1)
+            yield slabs.reshape(-1, mid)[p:p + stop - start]
+
+
 def fold(mat, n: int, dims: Sequence[int]) -> DenseTensor:
     """Inverse of :func:`unfold`."""
     dims = tuple(int(d) for d in dims)

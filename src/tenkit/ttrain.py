@@ -4,8 +4,9 @@ two-site MALS/DMRG sweeps, strong-Kronecker forms."""
 
 from __future__ import annotations
 
+from itertools import chain
 from math import frexp, prod, sqrt
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -138,31 +139,63 @@ class TTMatrixModel:
 
 
 # Row-block size of the tall-skinny QR in _tsqr_r, in scalars: 2**17 float64
-# is 1 MB, a block LAPACK factors in cache
+# is 1 MB, a block LAPACK factors in cache.  One stacked QR call factors a
+# group of at least two blocks and about _TSQR_GROUP rows x columns^2 of
+# work.  Each call copies its input and allocates its own buffers: narrow
+# blocks are so cheap to factor that many small calls cost page faults (two
+# blocks per call made the QTT jobs 25% slower where large allocations are
+# fresh mappings, MALLOC_MMAP_THRESHOLD_=131072), while large copies stay
+# in glibc's heap (eight 1 MB blocks per call at width 128 raised a HOSVD
+# job's peak RSS by 8 MB under the default allocator).
 _TSQR_BLOCK = 2 ** 17
+_TSQR_GROUP = 32 * _TSQR_BLOCK
 
 
-def _tsqr_r(a: np.ndarray) -> np.ndarray:
-    """The min(m, n) x n triangle R of a QR of the m x n ``a``, Q never formed.
-
-    R comes from a two-level tall-skinny QR (TSQR; Demmel, Grigori, Hoemmen
-    & Langou, SISC 2012): one stacked QR factors the k blocks of
-    b = max(8n, 2**17 // n) rows of ``a``, and one more QR factors their k
-    stacked triangles above the rows left over.  Householder QR of a matrix
-    far larger than cache is slow: on one OpenBLAS thread a 16384 x 128
-    ``a`` takes 150 ms in one QR and 88 ms in 1 MB blocks, and b >= 8n keeps
-    the second level within 1/8 of the rows.  Below 2b rows ``a`` is
-    factored by one QR, since blocking there was slower (4096 x 512: 107 ms
-    in one QR, 120 ms in two blocks).  R^T R = a^T a either way, and TSQR is
-    as backward stable as Householder QR.
-    """
-    m, n = a.shape
+def _tsqr_group(n: int) -> tuple[int, int]:
+    """Rows b of one TSQR block of width ``n``, and rows per QR call."""
     b = max(8 * n, _TSQR_BLOCK // n)
-    k = m // b
-    if k < 2:
-        return np.linalg.qr(a, mode="r")
-    r = np.linalg.qr(a[:k * b].reshape(k, b, n), mode="r")
-    return np.linalg.qr(np.concatenate((r.reshape(k * n, n), a[k * b:])),
+    return b, b * max(2, _TSQR_GROUP // (b * n * n))
+
+
+def _tsqr_r(blocks: Iterable[np.ndarray]) -> np.ndarray:
+    """The min(m, n) x n triangle R of a QR of the m x n matrix whose rows
+    are the row blocks ``blocks`` (each m_i x n) in order, Q never formed:
+    tenkit's only tall-skinny QR (TSQR; Demmel, Grigori, Hoemmen & Langou,
+    SISC 2012).
+
+    A block of at least 2b rows, b = max(8n, 2**17 // n), is cut into whole
+    b-row blocks, which one stacked QR factors a group
+    (:func:`_tsqr_group`) at a time; their triangles and a copy of the
+    leftover rows are kept.  A smaller block is kept whole.  Kept rows that
+    have reached 2b are refactored into one triangle before more are kept,
+    and one last QR factors what is kept.  So the fold holds one group plus
+    O(b n) kept rows, however large or many the blocks, and a single matrix
+    gets the two-level tree (one QR below 2b rows).  Householder QR of a
+    matrix far larger than cache is slow: on one OpenBLAS thread a
+    16384 x 128 matrix takes 150 ms in one QR and 88 ms in 1 MB blocks, and
+    b >= 8n keeps the second level within 1/8 of the rows; below 2b rows
+    one QR was faster (4096 x 512: 107 ms, 120 ms in two blocks).  R^T R is
+    the sum of the blocks' Grams whatever the tree, TSQR is as backward
+    stable as Householder QR, and the same blocks give the same R bytes.
+    """
+    kept, held = [], 0
+    for a in blocks:
+        m, n = a.shape
+        b, step = _tsqr_group(n)
+        top = m // b * b if m >= 2 * b else 0
+        # the leftover rows are copied so that they do not hold the block
+        parts = chain((np.linalg.qr(a[i:min(i + step, top)].reshape(-1, b, n),
+                                    mode="r").reshape(-1, n)
+                       for i in range(0, top, step)),
+                      (a[top:].copy() if top else a,))
+        for part in parts:
+            if held >= 2 * b and len(part):
+                kept = [np.linalg.qr(np.concatenate(kept), mode="r")]
+                held = len(kept[0])
+            kept.append(part)
+            held += len(part)
+        del a, parts  # the source may free this block before the next
+    return np.linalg.qr(kept[0] if len(kept) == 1 else np.concatenate(kept),
                         mode="r")
 
 
@@ -170,12 +203,14 @@ def _left_factor(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Left singular vectors and singular values of ``mat``, V never formed.
 
     A wide n x m matrix (m > n) is first reduced to the n x n triangle R of
-    a QR of its transpose (:func:`_tsqr_r`), mat = R^T Q^T, whose SVD has
-    the same U and singular values, as accurate as a direct SVD's.  Any
-    other matrix goes to the direct economy SVD.
+    a QR of its transpose, mat = R^T Q^T, whose SVD has the same U and
+    singular values, as accurate as a direct SVD's.  The transpose goes to
+    :func:`_tsqr_r` as one block, a view, so only one group of its row
+    blocks is copied at a time.  Any other matrix goes to the direct
+    economy SVD.
     """
     if mat.shape[1] > mat.shape[0]:
-        mat = _tsqr_r(mat.T).T
+        mat = _tsqr_r((mat.T,)).T
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
     return u, s
 

@@ -9,7 +9,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dense import DenseTensor, _sum_tensors, fold, frobenius_norm, unfold
+from .dense import (DenseTensor, _sum_tensors, _unfolding_row_blocks, fold,
+                    frobenius_norm, unfold)
 from .ops import mode_n_matrix_product, multilinear_product
 from .ttrain import (_fix_signs, _left_factor, _numerical_rank,
                      _truncated_split, _tsqr_r)
@@ -202,29 +203,35 @@ def factor_gram_sliced(slices: Iterable[np.ndarray]) -> SlicedGram:
     [X_1 ... X_Q] from its column slices, pulled one at a time so the full
     unfolding never needs to be in memory at once.
 
-    Each slice is folded into a running triangle, R <- the R of a QR of
-    [R; X_q^T] (the TSQR of :func:`ttrain._tsqr_r`), so R^T R is
-    sum_q X_q X_q^T without that Gram being formed, and ``u`` and
-    ``sigmas`` come from the SVD of the final R^T.  No condition number is
-    squared: every singular value is within about machine epsilon times the
+    Each slice is checked and its transpose X_q^T, a view, handed as one
+    row block to the TSQR fold :func:`ttrain._tsqr_r`, which holds one
+    group of row blocks and O(b n) kept rows at a time.  Its triangle R has
+    R^T R = sum_q X_q X_q^T without that Gram being formed, and ``u`` and
+    ``sigmas`` come from the SVD of R^T.  No condition number is squared:
+    every singular value is within about machine epsilon times the
     largest, as from a direct SVD.  ``u`` (sign-fixed) and ``sigmas`` have
     min(rows, total columns) entries; ``rank`` counts the singular values
     above 1e-12 times the largest.
     """
-    r = None
-    for q, x in enumerate(slices):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2:
-            raise ValueError("each slice must be a matrix")
-        if r is not None and x.shape[0] != r.shape[1]:
-            raise ValueError(f"slice row count {x.shape[0]} does not match "
-                             f"{r.shape[1]}")
-        if not np.isfinite(x).all():
-            raise ValueError(f"slice {q} holds non-finite entries")
-        r = _tsqr_r(x.T if r is None else np.concatenate((r, x.T)))
-    if r is None:
-        raise ValueError("slice provider yielded no slices")
-    u, sigmas = _left_factor(r.T)
+    def checked():
+        rows = None
+        for q, x in enumerate(slices):
+            x = np.asarray(x, dtype=np.float64)
+            if x.ndim != 2:
+                raise ValueError("each slice must be a matrix")
+            if x.shape[0] == 0:
+                raise ValueError(f"slice {q} has no rows")
+            if rows is not None and x.shape[0] != rows:
+                raise ValueError(f"slice row count {x.shape[0]} does not "
+                                 f"match {rows}")
+            if not np.isfinite(x).all():
+                raise ValueError(f"slice {q} holds non-finite entries")
+            rows = x.shape[0]
+            yield x.T
+        if rows is None:
+            raise ValueError("slice provider yielded no slices")
+
+    u, sigmas = _left_factor(_tsqr_r(checked()).T)
     return SlicedGram(_fix_signs(u), sigmas,
                       _numerical_rank(sigmas, _PINV_RCOND))
 
@@ -240,13 +247,18 @@ def right_factor_block(x_q: np.ndarray, gram: SlicedGram) -> np.ndarray:
 
 
 def unfolding_column_slices(t: DenseTensor, n: int, q: int):
-    """Iterator over ``q`` column blocks of unfold(t, n), each a view, as a
-    ready-made slice provider; empty blocks are skipped."""
+    """Iterator over ``q`` column blocks of unfold(t, n), as a ready-made
+    slice provider; empty blocks are skipped.  The unfolding is never
+    formed: a block whose columns lie in one slab of the F-order
+    (I_<n, I_n, I_>n) view of the buffer is a view, any other is gathered
+    from the slabs it touches (:func:`dense._unfolding_row_blocks`)."""
     if q < 1:
         raise ValueError("slice count must be >= 1")
-    mat = unfold(t, n)
-    return (mat[:, cols[0]:cols[-1] + 1]
-            for cols in np.array_split(np.arange(mat.shape[1]), q) if cols.size)
+    if not 1 <= n <= t.order:
+        raise ValueError(f"mode {n} invalid for an order-{t.order} tensor")
+    width, extra = divmod(t.size // t.dims[n - 1], q)
+    bounds = sorted({k * width + min(k, extra) for k in range(q + 1)})
+    return (rows.T for rows in _unfolding_row_blocks(t, n, bounds))
 
 
 def _splits(total: int, parts: int) -> list[np.ndarray]:

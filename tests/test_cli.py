@@ -501,6 +501,23 @@ def test_reconstruct_overflow_exit_3_under_warnings_as_errors(tmp_path):
     assert not out.exists()
 
 
+def test_reconstruct_rel_error_of_an_overflowing_difference(tmp_path, capsys):
+    # 1.44e308 against -1.4e308: both finite, their difference is not; the
+    # suite's warnings-as-errors filter turns numpy's overflow warning into a
+    # traceback, so this also checks that none is emitted
+    model = str(tmp_path / "m.cpm")
+    tio.write_cp(model, CPModel(np.array([1.44e308]), [np.ones((1, 1))] * 2))
+    against = write_fixture(tmp_path, "x.dten",
+                            DenseTensor.from_array(np.full((1, 1), -1.4e308)))
+    out = tmp_path / "r.dten"
+    code, stdout, err = run(["reconstruct", model, "--against", against,
+                             "--output", str(out)], capsys)
+    assert code == 0, err
+    rel = float(parse_report(stdout)["rel_error"])
+    assert rel == pytest.approx((1.44 + 1.4) / 1.4, rel=1e-15)
+    assert out.exists()
+
+
 def test_model_header_without_rank_exit_1(tmp_path, capsys):
     model = str(tmp_path / "m.cpm")
     tio.write_cp(model, CPModel(np.ones(2), [np.ones((3, 2))] * 3))

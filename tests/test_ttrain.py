@@ -10,8 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import tenkit.cpd as cpd_module
 import tenkit.ttrain as tt_module
 import tenkit.tucker as tucker_module
 from helpers import noisy_cp_cube, random_tt
@@ -20,7 +21,8 @@ from tenkit.dense import (BIG_ENDIAN, DenseTensor, UnfoldingSpec,
                           frobenius_norm, unfold, unfold_general, vectorize)
 from tenkit.quantize import QuantizationScheme, qtt_compress, qtt_decompress
 from tenkit.ttrain import (TTMatrixModel, TTModel, _half_sweep, _left_factor,
-                           _numerical_rank, _right_interfaces, _svd_splitter, tt_als,
+                           _numerical_rank, _right_interfaces, _svd_splitter,
+                           _tsqr_r, tt_als,
                            tt_element, tt_mals, tt_norm, tt_orthogonalize,
                            tt_outer_sum, tt_reconstruct, tt_round, tt_storage,
                            tt_svd, tt_to_strong_kron, ttm_element,
@@ -388,12 +390,16 @@ def test_one_split_per_truncation(monkeypatch):
 def test_split_and_sweep_structure():
     # one truncation rule with one caller, one SVD site in ttrain, and no
     # loop of their own in tt_orthogonalize and tt_round (the chain sweep
-    # holds it)
-    def called_in(path, name):
+    # holds it); one TSQR fold, which no Tucker or CP code bypasses, and no
+    # unfolding copied whole for the CP start
+    def called_in(path, name, **keywords):
+        # the functions that call ``name`` with at least these keywords
         tree = ast.parse(Path(path).read_text())
+        want = {(key, repr(value)) for key, value in keywords.items()}
         return {fn.name for fn in ast.walk(tree)
                 if isinstance(fn, ast.FunctionDef) and fn.name != name and
-                any(isinstance(c, ast.Call) and ast.unparse(c.func) == name
+                any(isinstance(c, ast.Call) and ast.unparse(c.func) == name and
+                    want <= {(k.arg, ast.unparse(k.value)) for k in c.keywords}
                     for c in ast.walk(fn))}
 
     src = Path(tt_module.__file__).parent
@@ -401,6 +407,10 @@ def test_split_and_sweep_structure():
                             for p in src.glob("*.py")))
     assert callers == {"_truncated_split"}
     assert called_in(tt_module.__file__, "np.linalg.svd") == {"_left_factor"}
+    assert called_in(tt_module.__file__, "np.linalg.qr", mode="r") == {"_tsqr_r"}
+    for module in (tucker_module, cpd_module):
+        assert called_in(module.__file__, "np.linalg.qr") == set()
+    assert called_in(cpd_module.__file__, "unfold") == set()
     for fn in (tt_orthogonalize, tt_round):
         tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
         assert not any(isinstance(node, (ast.For, ast.While, ast.comprehension))
@@ -909,6 +919,38 @@ def test_numerical_rank(rtol):
     for s in (graded, graded[:1], graded[:5], np.zeros(5) + 2.0):
         want = np.linalg.matrix_rank(np.diag(s), tol=rtol * s[0])
         assert _numerical_rank(s, rtol) == want
+
+
+@st.composite
+def _fold_inputs(draw):
+    # an m x n matrix as row blocks of random sizes: empty, one row, a few
+    # rows (so m may be below n), and b to 3b rows, which are cut into
+    # b-row blocks or kept whole and make the kept rows refold past 2b
+    n = draw(st.sampled_from([1, 2, 3, 7, 64, 128, 150]))
+    b = max(8 * n, 2 ** 17 // n)
+    sizes = draw(st.lists(st.one_of(st.integers(0, 1), st.integers(2, 3 * n),
+                                    st.integers(b, 3 * b)),
+                          min_size=1, max_size=5).filter(any))
+    return n, sizes, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_fold_inputs())
+@example((1, [1, 0, 300000], 0))              # n = 1, m past 2b = 262144
+@example((7, [2, 0, 3], 1))                   # m < n
+@example((64, [3000, 1, 3000, 0, 5000], 2))   # refolds past 2b = 4096 rows
+def test_tsqr_fold_of_any_row_blocks(inputs):
+    n, sizes, seed = inputs
+    m, cuts = sum(sizes), np.cumsum(sizes)[:-1]
+    a = np.random.default_rng(seed).standard_normal((m, n))
+    r = _tsqr_r(iter(np.split(a, cuts)))
+    assert r.shape == (min(m, n), n)
+    assert np.allclose(r.T @ r, a.T @ a, rtol=0,
+                       atol=1e-13 * np.linalg.norm(a) ** 2)
+    s, s0 = (np.linalg.svd(x, compute_uv=False) for x in (r, a))
+    assert np.all(np.abs(s - s0) <= 1e-13 * s0[0])
+    again = _tsqr_r(blk.copy() for blk in np.split(a, cuts))
+    assert again.tobytes() == r.tobytes()
 
 
 def test_left_factor_blocked_is_deterministic():

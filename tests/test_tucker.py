@@ -212,8 +212,8 @@ def test_factor_gram_sliced_fewer_columns_than_rows():
 
 
 def test_factor_gram_sliced_calls(monkeypatch):
-    # one QR per slice folds it into the running triangle, one SVD of the
-    # final triangle, and no Gram eigendecomposition
+    # the slices go through the TSQR fold, then one SVD of the final
+    # triangle, and no Gram eigendecomposition
     seen = []
 
     def spy(name, fn):
@@ -224,10 +224,18 @@ def test_factor_gram_sliced_calls(monkeypatch):
 
     for name in ("qr", "svd", "eigh"):
         monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
-    x = np.random.default_rng(153).standard_normal((6, 100))
-    factor_gram_sliced(np.array_split(x, 3, axis=1))
-    assert seen == [("qr", (34, 6)), ("qr", (6 + 33, 6)), ("qr", (6 + 33, 6)),
-                    ("svd", (6, 6))]
+    for cols, calls in [
+            # slices below 2b = 43690 rows of the 6-column fold are kept
+            # whole and factored by the last QR
+            ((34, 33, 33), [("qr", (100, 6))]),
+            # kept rows that reached 2b are refactored before the next
+            # slice is kept
+            ((30000, 30000, 30000), [("qr", (60000, 6)),
+                                     ("qr", (6 + 30000, 6))])]:
+        seen.clear()
+        x = np.random.default_rng(153).standard_normal((6, sum(cols)))
+        factor_gram_sliced(np.split(x, np.cumsum(cols)[:-1], axis=1))
+        assert seen == calls + [("svd", (6, 6))]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -243,6 +251,31 @@ def test_factor_gram_sliced_rejects_bad_providers():
         factor_gram_sliced([])
     with pytest.raises(ValueError, match="row count 4 does not match 3"):
         factor_gram_sliced([np.ones((3, 4)), np.ones((4, 4))])
+
+
+def test_factor_gram_sliced_rejects_a_slice_without_rows():
+    with pytest.raises(ValueError, match="slice 0 has no rows"):
+        factor_gram_sliced([np.ones((0, 5))])
+    with pytest.raises(ValueError, match="slice 1 has no rows"):
+        factor_gram_sliced([np.ones((2, 5)), np.ones((0, 5))])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_unfolding_column_slices_are_views_within_a_slab(n):
+    # slab s of the F-order (I_<n, I_n, I_>n) view holds columns
+    # s I_<n .. (s + 1) I_<n - 1 of the unfolding; a block inside one slab is
+    # a view of the tensor's buffer
+    t = rt((3, 4, 5, 2), 17)
+    whole = unfold(t, n)
+    lo = int(np.prod(t.dims[:n - 1]))
+    for q in (1, 2, 5, 7, whole.shape[1]):
+        parts = list(unfolding_column_slices(t, n, q))
+        assert np.array_equal(np.hstack(parts), whole)
+        cols = [c for c in np.array_split(np.arange(whole.shape[1]), q) if c.size]
+        assert [p.shape[1] for p in parts] == [c.size for c in cols]
+        for part, c in zip(parts, cols):
+            if c[0] // lo == c[-1] // lo:
+                assert np.shares_memory(part, t.data), (q, c[0], c[-1])
 
 
 def test_unfolding_column_slices_provider():
