@@ -9,9 +9,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .dense import DenseTensor, _norm, _unfolding_row_blocks, frobenius_norm
+from .dense import DenseTensor, _norm, frobenius_norm
 from .ops import khatri_rao
-from .ttrain import _left_factor, _numerical_rank, _tsqr_group, _tsqr_r
+from .ttrain import _numerical_rank, _unfolding_factor
 
 _GRAM_CUTOFF = 1e-12  # relative eigenvalue cutoff for the R x R Gram pseudo-inverse
 _EPS = np.finfo(np.float64).eps
@@ -228,18 +228,14 @@ def cp_als(t: DenseTensor, rank: int, *, max_iters: int = 200,
     order = t.order
     arr = t.to_array()
     # one factorization per unfolding gives the SVD start and the mode
-    # ranks, counted with matrix_rank's default tolerance; the TSQR fold
-    # reads each transposed unfolding in blocks of whole slabs of about one
-    # QR group (views when a slab is that large), never all of it at once
+    # ranks, counted with matrix_rank's default tolerance; each unfolding is
+    # read in slabs of the tensor's buffer, never formed
     lefts, ranks_n = [], []
     for n in range(1, order + 1):
-        lo, mid = prod(t.dims[:n - 1]), t.dims[n - 1]
-        cols = t.size // mid
-        step = lo * max(1, _tsqr_group(mid)[1] // lo)
-        r = _tsqr_r(_unfolding_row_blocks(t, n, [*range(0, cols, step), cols]))
-        u, sig = _left_factor(r.T)
+        mid = t.dims[n - 1]
+        u, sig = _unfolding_factor(t, n)
         lefts.append(u)
-        ranks_n.append(_numerical_rank(sig, max(mid, cols) * _EPS))
+        ranks_n.append(_numerical_rank(sig, max(mid, t.size // mid) * _EPS))
     overfactored = any(rank > r for r in ranks_n)
 
     base = np.random.default_rng(seed)

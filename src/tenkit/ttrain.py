@@ -10,7 +10,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .dense import DenseTensor, _norm, frobenius_norm
+from .dense import DenseTensor, _norm, _unfolding_row_blocks, frobenius_norm
 from .ops import BlockMatrix, strong_kron
 
 DENSE_CAP = 2 ** 26  # default cap on dense materialization, in scalars
@@ -139,22 +139,15 @@ class TTMatrixModel:
 
 
 # Row-block size of the tall-skinny QR in _tsqr_r, in scalars: 2**17 float64
-# is 1 MB, a block LAPACK factors in cache.  One stacked QR call factors a
-# group of at least two blocks and about _TSQR_GROUP rows x columns^2 of
-# work.  Each call copies its input and allocates its own buffers: narrow
-# blocks are so cheap to factor that many small calls cost page faults (two
-# blocks per call made the QTT jobs 25% slower where large allocations are
-# fresh mappings, MALLOC_MMAP_THRESHOLD_=131072), while large copies stay
-# in glibc's heap (eight 1 MB blocks per call at width 128 raised a HOSVD
-# job's peak RSS by 8 MB under the default allocator).
+# is 1 MB, a block LAPACK factors in cache
 _TSQR_BLOCK = 2 ** 17
-_TSQR_GROUP = 32 * _TSQR_BLOCK
 
 
 def _tsqr_group(n: int) -> tuple[int, int]:
-    """Rows b of one TSQR block of width ``n``, and rows per QR call."""
+    """Rows b of one TSQR block of width ``n``, and rows per stacked QR
+    call: two blocks."""
     b = max(8 * n, _TSQR_BLOCK // n)
-    return b, b * max(2, _TSQR_GROUP // (b * n * n))
+    return b, 2 * b
 
 
 def _tsqr_r(blocks: Iterable[np.ndarray]) -> np.ndarray:
@@ -164,37 +157,39 @@ def _tsqr_r(blocks: Iterable[np.ndarray]) -> np.ndarray:
     SISC 2012).
 
     A block of at least 2b rows, b = max(8n, 2**17 // n), is cut into whole
-    b-row blocks, which one stacked QR factors a group
-    (:func:`_tsqr_group`) at a time; their triangles and a copy of the
-    leftover rows are kept.  A smaller block is kept whole.  Kept rows that
-    have reached 2b are refactored into one triangle before more are kept,
-    and one last QR factors what is kept.  So the fold holds one group plus
-    O(b n) kept rows, however large or many the blocks, and a single matrix
-    gets the two-level tree (one QR below 2b rows).  Householder QR of a
-    matrix far larger than cache is slow: on one OpenBLAS thread a
-    16384 x 128 matrix takes 150 ms in one QR and 88 ms in 1 MB blocks, and
-    b >= 8n keeps the second level within 1/8 of the rows; below 2b rows
-    one QR was faster (4096 x 512: 107 ms, 120 ms in two blocks).  R^T R is
-    the sum of the blocks' Grams whatever the tree, TSQR is as backward
-    stable as Householder QR, and the same blocks give the same R bytes.
+    b-row blocks, which one stacked QR factors two at a time; their
+    triangles and a copy of the leftover rows are kept.  A smaller block is
+    kept as a copy.  So nothing of a block is read after the next one is
+    pulled, and a source may reuse one buffer.  Kept rows that have reached
+    2b are refactored into one triangle before more are kept, and one last
+    QR factors what is kept.  So the fold holds two blocks plus O(b n) kept
+    rows, however large or many the blocks.  A single matrix of fewer than
+    2b^2 / n rows gets the two-level tree (one QR below 2b rows); a taller
+    one is refolded every 2b triangle rows, which moves R only by roundoff.
+    Householder QR of a matrix far larger than cache is slow: on one
+    OpenBLAS thread a 16384 x 128 matrix takes 150 ms in one QR and 88 ms
+    in 1 MB blocks, and b >= 8n keeps the second level within 1/8 of the
+    rows; below 2b rows one QR was faster (4096 x 512: 107 ms, 120 ms in
+    two blocks).  R^T R is the sum of the blocks' Grams whatever the tree,
+    TSQR is as backward stable as Householder QR, and the same blocks give
+    the same R bytes.
     """
     kept, held = [], 0
     for a in blocks:
         m, n = a.shape
         b, step = _tsqr_group(n)
         top = m // b * b if m >= 2 * b else 0
-        # the leftover rows are copied so that they do not hold the block
         parts = chain((np.linalg.qr(a[i:min(i + step, top)].reshape(-1, b, n),
                                     mode="r").reshape(-1, n)
                        for i in range(0, top, step)),
-                      (a[top:].copy() if top else a,))
+                      (a[top:].copy(),))
         for part in parts:
             if held >= 2 * b and len(part):
                 kept = [np.linalg.qr(np.concatenate(kept), mode="r")]
                 held = len(kept[0])
             kept.append(part)
             held += len(part)
-        del a, parts  # the source may free this block before the next
+        del a, parts  # the source may free or overwrite this block
     return np.linalg.qr(kept[0] if len(kept) == 1 else np.concatenate(kept),
                         mode="r")
 
@@ -205,14 +200,39 @@ def _left_factor(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A wide n x m matrix (m > n) is first reduced to the n x n triangle R of
     a QR of its transpose, mat = R^T Q^T, whose SVD has the same U and
     singular values, as accurate as a direct SVD's.  The transpose goes to
-    :func:`_tsqr_r` as one block, a view, so only one group of its row
-    blocks is copied at a time.  Any other matrix goes to the direct
-    economy SVD.
+    :func:`_tsqr_r` as one block, a view, so only two of its b-row blocks
+    are copied at a time (a transpose below 2b rows is copied whole).  Any
+    other matrix goes to the direct economy SVD.
     """
     if mat.shape[1] > mat.shape[0]:
         mat = _tsqr_r((mat.T,)).T
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
     return u, s
+
+
+def _unfolding_factor(t: DenseTensor, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_left_factor` of unfold(t, n), the unfolding never formed.
+
+    A wide unfolding's transpose goes to :func:`_tsqr_r` in blocks of
+    whole slabs of the F-order (I_<n, I_n, I_>n) view of the buffer
+    (:func:`dense._unfolding_row_blocks`), as few as make one QR group of
+    2b rows, the last block taking the rest: a view when one slab is that
+    large, a gathered copy of a few slabs otherwise.  Where I_<n divides 2b
+    or is a multiple of it, every block starts where a group of the whole
+    transpose starts, so U and the singular values are bitwise those of
+    ``_left_factor(unfold(t, n))``; elsewhere each block leaves its own
+    leftover rows, which moves them by roundoff.  A tall or square
+    unfolding is gathered as one block for the direct SVD, as
+    :func:`_left_factor` factors it.
+    """
+    lo, mid = prod(t.dims[:n - 1]), t.dims[n - 1]
+    cols = t.size // mid
+    if cols <= mid:
+        return _left_factor(next(_unfolding_row_blocks(t, n, (0, cols))).T)
+    step = lo * -(-_tsqr_group(mid)[1] // lo)
+    bounds = [*range(0, max(cols - step, 0) + 1, step), cols]
+    r = _tsqr_r(_unfolding_row_blocks(t, n, bounds))
+    return _left_factor(r.T)
 
 
 def _fix_signs(u: np.ndarray) -> np.ndarray:

@@ -411,6 +411,8 @@ def test_split_and_sweep_structure():
     for module in (tucker_module, cpd_module):
         assert called_in(module.__file__, "np.linalg.qr") == set()
     assert called_in(cpd_module.__file__, "unfold") == set()
+    assert {p.name for p in src.glob("*.py")
+            if called_in(p, "_tsqr_group")} == {"ttrain.py"}
     for fn in (tt_orthogonalize, tt_round):
         tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
         assert not any(isinstance(node, (ast.For, ast.While, ast.comprehension))
@@ -951,6 +953,34 @@ def test_tsqr_fold_of_any_row_blocks(inputs):
     assert np.all(np.abs(s - s0) <= 1e-13 * s0[0])
     again = _tsqr_r(blk.copy() for blk in np.split(a, cuts))
     assert again.tobytes() == r.tobytes()
+    # a source that reuses one buffer: nothing of a block is read after
+    # the next one is pulled
+    buf = np.empty((max(sizes), n))
+
+    def reused():
+        for blk in np.split(a, cuts):
+            buf[:len(blk)] = blk
+            yield buf[:len(blk)]
+    assert _tsqr_r(reused()).tobytes() == r.tobytes()
+
+
+@pytest.mark.parametrize("dims, n, bitwise", [
+    ((4, 64, 2048), 1, True),    # I_<n = 1: groups of 2b = 65536 rows
+    ((4, 64, 2048), 2, True),    # I_<n = 4 divides 2b = 4096
+    ((4, 64, 2048), 3, True),    # tall: the direct SVD
+    ((4096, 64, 3), 2, True),    # I_<n = 2b = 4096: one slab per block
+    ((3, 64, 4000), 2, False),   # I_<n = 3: blocks of 4098 rows
+    ((5, 7, 9, 11), 3, True),    # below 2b rows: one block, one QR
+])
+def test_unfolding_factor_reads_slabs(dims, n, bitwise):
+    t = DenseTensor.from_array(
+        np.random.default_rng(sum(dims)).standard_normal(dims))
+    u, s = tt_module._unfolding_factor(t, n)
+    u0, s0 = _left_factor(unfold(t, n))
+    if bitwise:
+        assert u.tobytes() == u0.tobytes() and s.tobytes() == s0.tobytes()
+    assert np.all(np.abs(s - s0) <= 1e-13 * s0[0])
+    assert np.allclose(np.abs(u.T @ u0), np.eye(len(s)), atol=1e-10)
 
 
 def test_left_factor_blocked_is_deterministic():

@@ -253,6 +253,24 @@ def test_factor_gram_sliced_rejects_bad_providers():
         factor_gram_sliced([np.ones((3, 4)), np.ones((4, 4))])
 
 
+def test_factor_gram_sliced_from_one_reused_buffer():
+    # an out-of-core provider that reads each slice into one buffer: the
+    # fold must not read a slice after the next one is pulled
+    x = np.random.default_rng(31).standard_normal((6, 3000))
+    buf = np.empty((6, 100))
+
+    def reused():
+        for q in range(30):
+            buf[:] = x[:, 100 * q:100 * (q + 1)]
+            yield buf
+    got = factor_gram_sliced(reused())
+    want = factor_gram_sliced(np.split(x, 30, axis=1))
+    assert got.u.tobytes() == want.u.tobytes()
+    assert got.sigmas.tobytes() == want.sigmas.tobytes()
+    s0 = np.linalg.svd(x, compute_uv=False)
+    assert np.all(np.abs(got.sigmas - s0) <= 1e-13 * s0[0])
+
+
 def test_factor_gram_sliced_rejects_a_slice_without_rows():
     with pytest.raises(ValueError, match="slice 0 has no rows"):
         factor_gram_sliced([np.ones((0, 5))])
