@@ -204,8 +204,10 @@ def factor_gram_sliced(slices: Iterable[np.ndarray]) -> SlicedGram:
     unfolding never needs to be in memory at once.
 
     Each slice is checked and its transpose X_q^T, a view, handed as one
-    row block to the TSQR fold :func:`ttrain._tsqr_r`, which holds one
-    group of row blocks and O(b n) kept rows at a time.  Its triangle R has
+    row block to the TSQR fold :func:`ttrain._tsqr_r`, which holds two
+    b-row blocks and O(b n) kept rows at a time and reads nothing of a
+    slice after the next is pulled, so a provider may read every slice into
+    one reused buffer.  Its triangle R has
     R^T R = sum_q X_q X_q^T without that Gram being formed, and ``u`` and
     ``sigmas`` come from the SVD of R^T.  No condition number is squared:
     every singular value is within about machine epsilon times the
