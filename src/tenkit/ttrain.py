@@ -162,8 +162,8 @@ def _tsqr_r(blocks: Iterable[np.ndarray]) -> np.ndarray:
     kept as a copy.  So nothing of a block is read after the next one is
     pulled, and a source may reuse one buffer.  Kept rows that have reached
     2b are refactored into one triangle before more are kept, and one last
-    QR factors what is kept.  So the fold holds two blocks plus O(b n) kept
-    rows, however large or many the blocks.  A single matrix of fewer than
+    QR factors what is kept.  The fold thus holds two blocks plus O(b n)
+    kept rows, however large or many the blocks.  A single matrix of fewer than
     2b^2 / n rows gets the two-level tree (one QR below 2b rows); a taller
     one is refolded every 2b triangle rows, which moves R only by roundoff.
     Householder QR of a matrix far larger than cache is slow: on one
