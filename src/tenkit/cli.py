@@ -10,7 +10,7 @@ import argparse
 import csv
 import sys
 import time
-from math import inf, prod
+from math import prod
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from . import io as tio
 from .blockmodels import model_storage, reconstruct
 from .cpd import CPModel, cp_als
 from .cur import FSTDModel, fstd
-from .dense import DenseTensor, _norm, frobenius_norm
+from .dense import DenseTensor, _norm, _rel_error, frobenius_norm
 from .quantize import QuantizationScheme, qtt_compress, storage_complexity
 from .tucker import assemble_blocks, core_blockwise, hosvd, \
     partition_matrix_blocks, partition_tensor, TuckerModel
@@ -44,22 +44,6 @@ def _int_list(text: str) -> list[int]:
     except ValueError as exc:
         raise JobSpecError(f"expected a comma-separated integer list, "
                            f"got {text!r}") from exc
-
-
-def _rel_error(t: DenseTensor, rec: DenseTensor) -> float:
-    """|t - rec| / |t|: 0 for an exact fit, inf when only t is zero."""
-    x, y = t.data, rec.data
-    with np.errstate(over="ignore", invalid="ignore"):
-        err = _norm(x - y)
-        if err == inf:
-            # finite entries whose difference overflows: halving both is
-            # exact (a subnormal's lost bit cannot move this ratio)
-            x, y = x * 0.5, y * 0.5
-            err = _norm(x - y)
-    if not err:
-        return 0.0
-    norm = _norm(x)
-    return err / norm if norm else inf
 
 
 def _require_finite(t: DenseTensor, what: str) -> None:

@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dense import DenseTensor, _norm, frobenius_norm
+from .dense import DenseTensor, _fit_norm, _norm, _rel_error, frobenius_norm
 from .ops import khatri_rao
 from .ttrain import _numerical_rank, _unfolding_factor
 
@@ -95,16 +95,12 @@ def _kr_others(factors: Sequence[np.ndarray], n: int, descending: bool) -> np.nd
                      factors[0].shape[1])
 
 
-def _cp_buffer(m: CPModel) -> np.ndarray:
+def cp_reconstruct(m: CPModel) -> DenseTensor:
+    """Dense tensor sum_r lambda_r b_r^(1) o ... o b_r^(N)."""
     # (KR of modes N..2) (B1 Lambda)^T in C order is the first-index-fastest
     # buffer: row index over modes 2..N, column index i_1 fastest
     flat = _kr_others(m.factors, 1, descending=True) @ (m.factors[0] * m.weights).T
-    return flat.reshape(-1)
-
-
-def cp_reconstruct(m: CPModel) -> DenseTensor:
-    """Dense tensor sum_r lambda_r b_r^(1) o ... o b_r^(N)."""
-    return DenseTensor(m.dims, _cp_buffer(m), copy=False)
+    return DenseTensor(m.dims, flat.reshape(-1), copy=False)
 
 
 def _mttkrp(arr: np.ndarray, factors: Sequence[np.ndarray], n: int) -> np.ndarray:
@@ -146,17 +142,13 @@ def cp_unfolded(m: CPModel, n: int, convention: str = "little-endian") -> np.nda
 
 
 def cp_fit(t: DenseTensor, m: CPModel) -> float:
-    """1 - relative Frobenius error of the model against ``t``."""
+    """1 - relative Frobenius error of the model against ``t``
+    (:func:`tenkit.dense._rel_error`)."""
     if t.dims != m.dims:
         raise ValueError(f"model dims {m.dims} differ from tensor dims {t.dims}")
-    norm_t = frobenius_norm(t)
-    if norm_t == 0.0:
+    if frobenius_norm(t) == 0.0:
         raise ValueError("fit undefined for a zero-norm tensor")
-    # the residual overwrites the reconstruction's buffer: one tensor-sized
-    # temporary is live, not two
-    resid = _cp_buffer(m)
-    np.subtract(t.data, resid, out=resid)
-    return 1.0 - _norm(resid) / norm_t
+    return 1.0 - _rel_error(t, cp_reconstruct(m))
 
 
 @dataclass
@@ -222,9 +214,7 @@ def cp_als(t: DenseTensor, rank: int, *, max_iters: int = 200,
         raise ValueError(f"unknown init {init!r}")
     if not (np.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
-    norm_t = frobenius_norm(t)
-    if norm_t == 0.0:
-        raise ValueError("cannot fit an all-zero tensor")
+    _fit_norm(t, "cp_als")
     order = t.order
     arr = t.to_array()
     # one factorization per unfolding gives the SVD start and the mode

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dense import DenseTensor, _norm, fiber, unfold
+from .dense import DenseTensor, _fit_norm, _norm, fiber, unfold
 from .ops import mode_n_matrix_product
 from .ttrain import _numerical_rank
 from .tucker import _PINV_RCOND, TuckerModel, tucker_reconstruct
@@ -242,6 +242,35 @@ def select_fibers_maxmod(t: DenseTensor, counts: Sequence[int],
                           tuple(pivots), early)
 
 
+def _cross(t: DenseTensor, counts: Sequence[int] | None,
+           indices: Sequence[Sequence[int]] | None):
+    """The cross that FSTD and subtensor HOSVD are built from, as
+    (0-based index sets, W, [X^(n)_(n) for n = 1..N], early stop).
+
+    The index sets are ``indices`` (1-based), or the completed max-modulus
+    selection with per-mode quotas ``counts``; exactly one is given.  W is
+    the intersection subarray and X^(n) the subtensor that keeps mode n
+    full, given as its mode-n unfolding.
+    """
+    if (counts is None) == (indices is None):
+        raise ValueError("give exactly one of counts or indices")
+    early = False
+    if counts is not None:
+        sel = select_fibers_maxmod(t, counts, complete=True)
+        indices, early = sel.indices, sel.early_stop
+    if len(indices) != t.order:
+        raise ValueError(f"expected {t.order} index lists")
+    idx0 = [_check_index_list(ix, t.dims[n], f"mode {n + 1}")
+            for n, ix in enumerate(indices)]
+    arr = t.to_array()
+    subs = []
+    for n in range(1, t.order + 1):
+        keys = [np.arange(t.dims[m - 1]) if m == n else idx0[m - 1]
+                for m in range(1, t.order + 1)]
+        subs.append(unfold(DenseTensor.from_array(arr[np.ix_(*keys)]), n))
+    return idx0, arr[np.ix_(*idx0)], subs, early
+
+
 @dataclass(frozen=True)
 class FSTDModel:
     """Fiber Sampling Tucker Decomposition.
@@ -286,33 +315,11 @@ def fstd(t: DenseTensor, counts: Sequence[int] | None = None,
     """
     if t.order < 2:
         raise ValueError("fstd needs an order >= 2 tensor")
-    if (counts is None) == (indices is None):
-        raise ValueError("give exactly one of counts or indices")
-    if not t.data.any():
-        raise ValueError("cannot fit an all-zero tensor")
-    early = False
-    if counts is not None:
-        sel = select_fibers_maxmod(t, counts, complete=True)
-        indices = sel.indices
-        early = sel.early_stop
-    if len(indices) != t.order:
-        raise ValueError(f"expected {t.order} index lists")
-    idx0 = [_check_index_list(ix, t.dims[n], f"mode {n + 1}")
-            for n, ix in enumerate(indices)]
-
-    arr = t.to_array()
-    w = DenseTensor.from_array(arr[np.ix_(*idx0)])
-
-    fiber_factors = []
-    tucker_factors = []
-    for n in range(1, t.order + 1):
-        keys = [np.arange(t.dims[m - 1]) if m == n else idx0[m - 1]
-                for m in range(1, t.order + 1)]
-        sub = DenseTensor.from_array(arr[np.ix_(*keys)])
-        c_n = unfold(sub, n)
-        fiber_factors.append(c_n)
-        tucker_factors.append(c_n @ np.linalg.pinv(unfold(w, n),
-                                                   rcond=_PINV_RCOND))
+    _fit_norm(t, "fstd")
+    idx0, w, fiber_factors, early = _cross(t, counts, indices)
+    w = DenseTensor.from_array(w)
+    tucker_factors = [c_n @ np.linalg.pinv(unfold(w, n), rcond=_PINV_RCOND)
+                      for n, c_n in enumerate(fiber_factors, start=1)]
     model = TuckerModel(w, tucker_factors)
     return FSTDModel(tuple(tuple(int(i) + 1 for i in ix) for ix in idx0),
                      w, fiber_factors, model, early)

@@ -267,7 +267,8 @@ _NORM_FLOOR = sqrt(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
 
 def _norm(x) -> float:
     """Euclidean norm of all entries of the float64 array ``x``: the one
-    rule by which tenkit measures a tensor or an error.
+    rule by which tenkit measures a tensor (an error is measured by
+    :func:`_rel_error`).
 
     The fast path is numpy's own, sqrt(x . x) over the flat array, so within
     range the result is bitwise that of ``np.linalg.norm`` and a contiguous
@@ -293,6 +294,59 @@ def frobenius_norm(t: DenseTensor) -> float:
     ``np.linalg.norm`` within range, and free of overflow and underflow
     outside it (a tensor scaled by 2^k has 2^k times the norm)."""
     return _norm(t.data)
+
+
+# Entries of t - rec formed at a time: 32 KB, so the difference stays in
+# cache and no allocation of its own grows with the tensor
+_SLICE = 2 ** 12
+
+
+def _rel_error(t: DenseTensor, rec: DenseTensor) -> float:
+    """|t - rec| / |t| for equal-dims tensors: the one rule by which tenkit
+    measures an approximation.  0 for an exact fit, inf when only t is zero.
+
+    The difference is formed :data:`_SLICE` entries at a time in one buffer
+    and the sums of squares of the slices are added up, so a tensor of one
+    slice gets bitwise ``_norm(x - y) / _norm(x)`` and a larger one agrees
+    with it within roundoff.  Only when that sum leaves :func:`_norm`'s safe
+    range (an exact fit, an overflow or underflow, a non-finite entry) is
+    the whole difference formed and measured by :func:`_norm`; a finite
+    difference that overflows is formed from both operands halved, which is
+    exact (a subnormal's lost bit cannot move the ratio).
+    """
+    x, y = t.data, rec.data
+    whole = x.size - x.size % _SLICE
+    buf = np.empty(min(x.size, _SLICE))
+    tail = buf[:x.size - whole]
+    acc = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b in zip(x[:whole].reshape(-1, _SLICE),
+                        y[:whole].reshape(-1, _SLICE)):
+            np.subtract(a, b, out=buf)
+            acc += buf.dot(buf)
+        np.subtract(x[whole:], y[whole:], out=tail)
+        err = sqrt(acc + tail.dot(tail))
+        if not _NORM_FLOOR < err < inf:
+            err = _norm(x - y)
+            if err == inf:
+                x, y = x * 0.5, y * 0.5
+                err = _norm(x - y)
+    if not err:
+        return 0.0
+    norm = _norm(x)
+    return err / norm if norm else inf
+
+
+def _fit_norm(t: DenseTensor, fitter: str) -> float:
+    """|t|_F, checked to be finite and nonzero: the input rule of every
+    fitter, named ``fitter`` in the message."""
+    norm_t = frobenius_norm(t)
+    if not isfinite(norm_t):
+        raise ValueError(f"the Frobenius norm of the tensor is {norm_t}; "
+                         f"{fitter} needs a finite one")
+    if norm_t == 0.0:
+        raise ValueError("cannot fit an all-zero tensor")
+    return norm_t
 
 
 def fiber(t: DenseTensor, n: int, coords: Sequence[int]) -> np.ndarray:

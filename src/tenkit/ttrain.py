@@ -10,7 +10,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .dense import DenseTensor, _norm, _unfolding_row_blocks, frobenius_norm
+from .dense import (DenseTensor, _fit_norm, _norm, _rel_error,
+                    _unfolding_row_blocks, frobenius_norm)
 from .ops import BlockMatrix, strong_kron
 
 DENSE_CAP = 2 ** 26  # default cap on dense materialization, in scalars
@@ -485,22 +486,17 @@ def tt_reconstruct(m: TTModel, cap: int = DENSE_CAP) -> DenseTensor:
     O(R size) of a chain contracted from one end, and the output is written
     once, at R_k multiply-adds per entry.
     """
-    _check_cap(prod(m.dims), cap)
-    return DenseTensor(m.dims, _tt_buffer(m), copy=False)
-
-
-def _tt_buffer(m: TTModel) -> np.ndarray:
-    """The first-index-fastest buffer of :func:`tt_reconstruct`, writable
-    and uncapped."""
     dims = m.dims
     size = prod(dims)
+    _check_cap(size, cap)
     k = 0
     while prod(dims[:k]) ** 2 < size:
         k += 1
     mirrored = _mirror(m.cores)
     right = _contract_chain(np.ones((1, 1)), mirrored[:m.order - k])
     left = _contract_chain(np.eye(right.shape[1]), mirrored[m.order - k:])
-    return (right @ left.reshape(right.shape[1], -1)).reshape(-1)
+    flat = (right @ left.reshape(right.shape[1], -1)).reshape(-1)
+    return DenseTensor(dims, flat, copy=False)
 
 
 def ttm_reconstruct(m: TTMatrixModel, cap: int = DENSE_CAP) -> DenseTensor:
@@ -616,12 +612,7 @@ def _right_interfaces(cores: Sequence[np.ndarray]) -> list[np.ndarray]:
 def _residual(t: DenseTensor, cores, norm_t: float, cap: int,
               center: np.ndarray) -> float:
     if prod(t.dims) <= cap:
-        # the residual overwrites the reconstruction's buffer: one
-        # tensor-sized temporary is live, not two; rec - t is t - rec negated
-        # exactly, so its norm is the same
-        resid = _tt_buffer(TTModel(list(cores)))
-        np.subtract(resid, t.data, out=resid)
-        return _norm(resid) / norm_t
+        return _rel_error(t, tt_reconstruct(TTModel(list(cores)), cap))
     # over-cap fallback: with orthonormal interfaces the projection identity
     # |X - Xhat|^2 = |X|^2 - |G_center|^2 holds (floors near sqrt(eps_mach))
     return sqrt(max(1.0 - (_norm(center) / norm_t) ** 2, 0.0))
@@ -674,7 +665,9 @@ def _sweeps(t: DenseTensor, norm_t: float, cores: list, width: int,
     site 1.  The right-to-left half is :func:`_half_sweep` on the mirrored
     chain.  The relative residual is recorded after every half-sweep; the
     sweeps stop once it is <= ``target`` or moved by less than ``tol`` over
-    the last two half-sweeps."""
+    the last two half-sweeps.  A negative ``max_sweeps`` raises ValueError."""
+    if max_sweeps < 0:
+        raise ValueError(f"max_sweeps must be >= 0, got {max_sweeps}")
     # the left-to-right half needs a C-order copy; the mirrored half reads
     # the canonical buffer as it is, so only one layout path is needed
     views = (np.ascontiguousarray(t.to_array()), t.to_array().T)
@@ -692,20 +685,6 @@ def _sweeps(t: DenseTensor, norm_t: float, cores: list, width: int,
     return TTModel(_mirror(cores) if flipped else cores,
                    ortho_center=t.order if flipped else 1,
                    meta={"residual_history": history})
-
-
-def _fit_norm(t: DenseTensor, max_sweeps: int) -> float:
-    """|t|_F, checked to be finite and nonzero, after checking that
-    ``max_sweeps`` >= 0: the checks both sweeps make before the first."""
-    if max_sweeps < 0:
-        raise ValueError(f"max_sweeps must be >= 0, got {max_sweeps}")
-    norm_t = frobenius_norm(t)
-    if not np.isfinite(norm_t):
-        raise ValueError(f"the Frobenius norm of the tensor is {norm_t}; "
-                         f"the sweeps need a finite one")
-    if norm_t == 0.0:
-        raise ValueError("cannot fit an all-zero tensor")
-    return norm_t
 
 
 def tt_als(t: DenseTensor, ranks: Sequence[int] | int, *,
@@ -731,17 +710,13 @@ def tt_als(t: DenseTensor, ranks: Sequence[int] | int, *,
     """
     dims = t.dims
     n_modes = t.order
-    if np.isscalar(ranks):
-        ranks = [int(ranks)] * (n_modes - 1)
-    ranks = [int(r) for r in ranks]
-    if len(ranks) != n_modes - 1:
-        raise ValueError(f"expected {n_modes - 1} ranks, got {len(ranks)}")
-    if any(r < 1 for r in ranks):
-        raise ValueError("ranks must be >= 1")
+    if ranks is None:
+        raise TypeError("tt_als needs ranks, got None")
+    ranks = _rank_caps(ranks, n_modes - 1)
     if not (np.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
     _check_rank_chain(ranks, dims)
-    norm_t = _fit_norm(t, max_sweeps)
+    norm_t = _fit_norm(t, "tt_als")
     rng = np.random.default_rng(seed)
     chain = [1] + ranks + [1]
     cores = [rng.standard_normal((chain[n], dims[n], chain[n + 1]))
@@ -786,7 +761,7 @@ def tt_mals(t: DenseTensor, eps: float, *, max_sweeps: int = 10,
     n_modes = t.order
     if n_modes < 2:
         raise ValueError("MALS needs an order >= 2 tensor")
-    norm_t = _fit_norm(t, max_sweeps)
+    norm_t = _fit_norm(t, "tt_mals")
     caps = _rank_caps(max_ranks, n_modes - 1)
     split = splitter or _svd_splitter
     delta = eps * norm_t / sqrt(n_modes - 1)

@@ -9,8 +9,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dense import (DenseTensor, _sum_tensors, _unfolding_row_blocks, fold,
-                    frobenius_norm, unfold)
+from .dense import (DenseTensor, _fit_norm, _sum_tensors,
+                    _unfolding_row_blocks, fold, frobenius_norm, unfold)
 from .ops import mode_n_matrix_product, multilinear_product
 from .ttrain import (_fix_signs, _left_factor, _numerical_rank,
                      _truncated_split, _tsqr_r)
@@ -360,30 +360,17 @@ def hosvd_from_subtensors(t: DenseTensor, counts: Sequence[int] | None = None,
     heuristic.  Ranks count singular values above ``rank_tol`` times the
     largest, and ``rank_tol`` must lie in [0, 1).
     """
-    from .cur import _check_index_list, select_fibers_maxmod
+    from .cur import _cross
 
     if not 0.0 <= rank_tol < 1.0:
         raise ValueError(f"rank_tol must lie in [0, 1), got {rank_tol}")
-    if (counts is None) == (indices is None):
-        raise ValueError("give exactly one of counts or indices")
-    if counts is not None:
-        sel = select_fibers_maxmod(t, counts, complete=True)
-        indices = sel.indices
-    if len(indices) != t.order:
-        raise ValueError(f"expected {t.order} index lists")
-    idx0 = [_check_index_list(ix, t.dims[n], f"mode {n + 1}")
-            for n, ix in enumerate(indices)]
-
-    arr = t.to_array()
-    w = arr[np.ix_(*idx0)]
+    _fit_norm(t, "hosvd_from_subtensors")
+    idx0, w, subs, _ = _cross(t, counts, indices)
 
     u_tilde = []
     ranks = []
-    for n in range(1, t.order + 1):
-        keys = [np.arange(t.dims[m - 1]) if m == n else idx0[m - 1]
-                for m in range(1, t.order + 1)]
-        sub = DenseTensor.from_array(arr[np.ix_(*keys)])
-        u, s = _left_factor(unfold(sub, n))
+    for n, sub in enumerate(subs, start=1):
+        u, s = _left_factor(sub)
         r = _numerical_rank(s, rank_tol)
         if r == 0:
             raise np.linalg.LinAlgError(

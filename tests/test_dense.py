@@ -10,12 +10,17 @@ from math import prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from tenkit.dense import (BIG_ENDIAN, LITTLE_ENDIAN, DenseTensor,
-                          UnfoldingSpec, _norm, extract_subtensor, fiber, fold,
-                          fold_general, frobenius_norm, linear_index,
-                          multi_index, unfold, unfold_general, vectorize)
+from tenkit.cpd import cp_als
+from tenkit.cur import fstd
+from tenkit.dense import (BIG_ENDIAN, LITTLE_ENDIAN, _SLICE, DenseTensor,
+                          UnfoldingSpec, _norm, _rel_error, extract_subtensor,
+                          fiber, fold, fold_general, frobenius_norm,
+                          linear_index, multi_index, unfold, unfold_general,
+                          vectorize)
+from tenkit.ttrain import tt_als, tt_mals
+from tenkit.tucker import hosvd_from_subtensors
 
 
 def oracle_linear_index(idx, dims, convention):
@@ -374,3 +379,58 @@ def test_frobenius_norm_scales_by_powers_of_two_property(dims, seed, k):
     want = np.ldexp(frobenius_norm(t), k)
     got = frobenius_norm(DenseTensor(t.dims, np.ldexp(t.data, k)))
     assert abs(got - want) <= 2 * np.spacing(want)
+
+
+def _pair(size, seed, noise, k=0):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(size)
+    y = x + noise * rng.standard_normal(size)
+    return (DenseTensor((size,), np.ldexp(x, k)),
+            DenseTensor((size,), np.ldexp(y, k)))
+
+
+@_property
+@given(size=st.sampled_from([1, _SLICE // 3, _SLICE, 3 * _SLICE + 17]),
+       seed=st.integers(0, 2 ** 32 - 1), noise=st.sampled_from([1e-12, 1.0]),
+       k=st.integers(-900, 900))
+@example(size=3 * _SLICE + 17, seed=0, noise=1e-12, k=-900)
+@example(size=3 * _SLICE + 17, seed=0, noise=1.0, k=900)
+def test_rel_error_is_the_plain_ratio_at_any_scale_property(size, seed, noise,
+                                                            k):
+    # sizes: one entry, part of a slice, one slice, several plus a tail
+    t, rec = _pair(size, seed, noise)
+    err = _rel_error(t, rec)
+    want = np.linalg.norm(t.data - rec.data) / np.linalg.norm(t.data)
+    assert abs(err - want) <= 1e-14 * want
+    assert abs(_rel_error(*_pair(size, seed, noise, k)) - err) <= 1e-14 * err
+
+
+def test_rel_error_allocates_one_slice():
+    t, rec = _pair(2 ** 18, 15, 1e-3)
+    tracemalloc.start()
+    try:
+        _rel_error(t, rec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * _SLICE + 2 ** 12
+
+
+_FITTERS = {
+    "tt_als": lambda t: tt_als(t, 2),
+    "tt_mals": lambda t: tt_mals(t, eps=1e-2),
+    "cp_als": lambda t: cp_als(t, 2),
+    "fstd": lambda t: fstd(t, counts=(2, 2, 2)),
+    "hosvd_from_subtensors":
+        lambda t: hosvd_from_subtensors(t, counts=(2, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("name", list(_FITTERS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_fitters_reject_a_non_finite_entry(name, bad):
+    x = np.random.default_rng(16).standard_normal((4, 4, 4))
+    x[1, 2, 3] = bad
+    with pytest.raises(ValueError, match=f"norm of the tensor is {bad}; "
+                                         f"{name} needs a finite one"):
+        _FITTERS[name](DenseTensor.from_array(x))

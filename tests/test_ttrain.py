@@ -12,13 +12,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import tenkit.cli as cli_module
 import tenkit.cpd as cpd_module
 import tenkit.ttrain as tt_module
 import tenkit.tucker as tucker_module
 from helpers import noisy_cp_cube, random_tt
 from tenkit.cpd import cp_als
-from tenkit.dense import (BIG_ENDIAN, DenseTensor, UnfoldingSpec,
-                          frobenius_norm, unfold, unfold_general, vectorize)
+from tenkit.dense import (BIG_ENDIAN, _SLICE, DenseTensor, UnfoldingSpec,
+                          _rel_error, frobenius_norm, unfold, unfold_general,
+                          vectorize)
 from tenkit.quantize import QuantizationScheme, qtt_compress, qtt_decompress
 from tenkit.ttrain import (TTMatrixModel, TTModel, _half_sweep, _left_factor,
                            _numerical_rank, _right_interfaces, _svd_splitter,
@@ -391,7 +393,9 @@ def test_split_and_sweep_structure():
     # one truncation rule with one caller, one SVD site in ttrain, and no
     # loop of their own in tt_orthogonalize and tt_round (the chain sweep
     # holds it); one TSQR fold, which no Tucker or CP code bypasses, and no
-    # unfolding copied whole for the CP start
+    # unfolding copied whole for the CP start; one error rule, defined in
+    # dense.py and called by every fit and report, and no difference of a
+    # tensor and its reconstruction formed anywhere else
     def called_in(path, name, **keywords):
         # the functions that call ``name`` with at least these keywords
         tree = ast.parse(Path(path).read_text())
@@ -413,6 +417,18 @@ def test_split_and_sweep_structure():
     assert called_in(cpd_module.__file__, "unfold") == set()
     assert {p.name for p in src.glob("*.py")
             if called_in(p, "_tsqr_group")} == {"ttrain.py"}
+    defines = {p.name for p in src.glob("*.py")
+               if any(isinstance(fn, ast.FunctionDef) and fn.name == "_rel_error"
+                      for fn in ast.walk(ast.parse(p.read_text())))}
+    assert defines == {"dense.py"}
+    assert called_in(cpd_module.__file__, "_rel_error") == {"cp_fit"}
+    assert called_in(tt_module.__file__, "_rel_error") == {"_residual"}
+    assert called_in(cli_module.__file__, "_rel_error") == {
+        "cmd_decompose", "cmd_reconstruct", "cmd_bench"}
+    for module in (cli_module, cpd_module, tt_module):
+        assert called_in(module.__file__, "np.subtract") == set()
+    assert not hasattr(tt_module, "_tt_buffer")
+    assert not hasattr(cpd_module, "_cp_buffer")
     for fn in (tt_orthogonalize, tt_round):
         tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
         assert not any(isinstance(node, (ast.For, ast.While, ast.comprehension))
@@ -441,28 +457,37 @@ def test_tt_als_residual_monotone():
 
 
 def test_residual_history_is_bitwise_the_plain_difference(monkeypatch):
-    # the residual is formed as rec - t in the reconstruction's buffer; the
-    # negation is exact, so every entry equals |t - rec| / |t| bit for bit
+    # the residual is the one error rule, dense._rel_error, bit for bit;
+    # below one slice its sum of squares is numpy's own over the whole
+    # difference, so every entry also equals |t - rec| / |t| bit for bit,
+    # and over several slices it agrees within roundoff
     rng = np.random.default_rng(23)
     t = DenseTensor.from_array(rng.standard_normal((4, 5, 4, 3)))
+    big = DenseTensor.from_array(rng.standard_normal((6, 7, 8, 9, 5)))
+    assert t.size < _SLICE < big.size // 3
     residual, seen = tt_module._residual, []
 
     def checked(t, cores, norm_t, cap, center):
         rec = tt_reconstruct(TTModel(list(cores)))
         seen.append((residual(t, cores, norm_t, cap, center),
+                     _rel_error(t, rec),
                      tt_module._norm(t.data - rec.data) / norm_t))
         return seen[-1][0]
     monkeypatch.setattr(tt_module, "_residual", checked)
     tt_als(t, (2, 3, 2), max_sweeps=3, tol=0.0, seed=3)
     tt_mals(t, eps=0.3, max_sweeps=2, seed=4)
-    assert len(seen) >= 8
-    assert all(new == old > 0 for new, old in seen)
+    small = len(seen)
+    tt_als(big, (2, 3, 3, 2), max_sweeps=2, tol=0.0, seed=5)
+    assert small >= 8 and len(seen) == small + 4
+    assert all(new == rule == old > 0 for new, rule, old in seen[:small])
+    assert all(new == rule and abs(new - old) <= 1e-14 * old
+               for new, rule, old in seen[small:])
 
 
 def test_residual_holds_one_tensor_sized_temporary():
     # as in test_tt_reconstruct_allocates_little_beyond_its_output: the
     # reconstruction is the only tensor-sized allocation, and the residual
-    # is formed in it
+    # is formed one 32 KB slice at a time beside it
     m = random_tt((2,) * 16, (4,) * 15, seed=41)
     t = tt_reconstruct(random_tt((2,) * 16, (4,) * 15, seed=42))
     tracemalloc.start()
@@ -472,6 +497,11 @@ def test_residual_holds_one_tensor_sized_temporary():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2 ** 16 + 2 ** 16
+
+
+def test_tt_als_needs_ranks():
+    with pytest.raises(TypeError, match="tt_als needs ranks"):
+        tt_als(separable_tensor(), None)
 
 
 def test_tt_als_infeasible_ranks():
