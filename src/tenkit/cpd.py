@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dense import DenseTensor, _fit_norm, _norm, _rel_error, frobenius_norm
+from .dense import DenseTensor, _fit_norm, _norm, _product_error
 from .ops import khatri_rao
 from .ttrain import _numerical_rank, _unfolding_factor
 
@@ -95,12 +95,16 @@ def _kr_others(factors: Sequence[np.ndarray], n: int, descending: bool) -> np.nd
                      factors[0].shape[1])
 
 
-def cp_reconstruct(m: CPModel) -> DenseTensor:
-    """Dense tensor sum_r lambda_r b_r^(1) o ... o b_r^(N)."""
+def _gemm_operands(m: CPModel) -> tuple[np.ndarray, np.ndarray]:
     # (KR of modes N..2) (B1 Lambda)^T in C order is the first-index-fastest
     # buffer: row index over modes 2..N, column index i_1 fastest
-    flat = _kr_others(m.factors, 1, descending=True) @ (m.factors[0] * m.weights).T
-    return DenseTensor(m.dims, flat.reshape(-1), copy=False)
+    return _kr_others(m.factors, 1, descending=True), (m.factors[0] * m.weights).T
+
+
+def cp_reconstruct(m: CPModel) -> DenseTensor:
+    """Dense tensor sum_r lambda_r b_r^(1) o ... o b_r^(N)."""
+    a, b = _gemm_operands(m)
+    return DenseTensor(m.dims, (a @ b).reshape(-1), copy=False)
 
 
 def _mttkrp(arr: np.ndarray, factors: Sequence[np.ndarray], n: int) -> np.ndarray:
@@ -142,13 +146,16 @@ def cp_unfolded(m: CPModel, n: int, convention: str = "little-endian") -> np.nda
 
 
 def cp_fit(t: DenseTensor, m: CPModel) -> float:
-    """1 - relative Frobenius error of the model against ``t``
-    (:func:`tenkit.dense._rel_error`)."""
+    """1 - relative Frobenius error of the model against ``t``, by the error
+    rule on the GEMM that ends :func:`cp_reconstruct`, formed one block of
+    rows at a time (:func:`tenkit.dense._product_error`); |t| is measured
+    once and no tensor-sized reconstruction is held."""
     if t.dims != m.dims:
         raise ValueError(f"model dims {m.dims} differ from tensor dims {t.dims}")
-    if frobenius_norm(t) == 0.0:
+    norm_t = _norm(t.data)
+    if norm_t == 0.0:
         raise ValueError("fit undefined for a zero-norm tensor")
-    return 1.0 - _rel_error(t, cp_reconstruct(m))
+    return 1.0 - _product_error(t, *_gemm_operands(m), norm_t)
 
 
 @dataclass

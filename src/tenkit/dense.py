@@ -296,25 +296,30 @@ def frobenius_norm(t: DenseTensor) -> float:
     return _norm(t.data)
 
 
-# Entries of t - rec formed at a time: 32 KB, so the difference stays in
-# cache and no allocation of its own grows with the tensor
+# Entries of a difference formed at a time: 32 KB, so the difference stays
+# in cache and no allocation of its own grows with the tensor
 _SLICE = 2 ** 12
 
+# Entries of a product formed at a time by _product_error: 512 KB, so a
+# fit's error holds no tensor-sized temporary
+_BLOCK = 2 ** 16
 
-def _rel_error(t: DenseTensor, rec: DenseTensor) -> float:
-    """|t - rec| / |t| for equal-dims tensors: the one rule by which tenkit
-    measures an approximation.  0 for an exact fit, inf when only t is zero.
+
+def _error_ratio(x: np.ndarray, y: np.ndarray, norm: float) -> float:
+    """|x - y| / ``norm`` for equal-size flat contiguous arrays: the slice
+    loop of the error rule (:func:`_rel_error`).  0 when x equals y, inf
+    when only ``norm`` is zero.
 
     The difference is formed :data:`_SLICE` entries at a time in one buffer
-    and the sums of squares of the slices are added up, so a tensor of one
-    slice gets bitwise ``_norm(x - y) / _norm(x)`` and a larger one agrees
-    with it within roundoff.  Only when that sum leaves :func:`_norm`'s safe
+    and the sums of squares of the slices are added up, so an array of one
+    slice gets bitwise ``_norm(x - y) / norm`` and a larger one agrees with
+    it within roundoff.  Only when that sum leaves :func:`_norm`'s safe
     range (an exact fit, an overflow or underflow, a non-finite entry) is
     the whole difference formed and measured by :func:`_norm`; a finite
-    difference that overflows is formed from both operands halved, which is
-    exact (a subnormal's lost bit cannot move the ratio).
+    difference that overflows is formed from both operands halved and
+    divided by half of ``norm``, which is exact (a subnormal's lost bit
+    cannot move the ratio).
     """
-    x, y = t.data, rec.data
     whole = x.size - x.size % _SLICE
     buf = np.empty(min(x.size, _SLICE))
     tail = buf[:x.size - whole]
@@ -329,12 +334,43 @@ def _rel_error(t: DenseTensor, rec: DenseTensor) -> float:
         if not _NORM_FLOOR < err < inf:
             err = _norm(x - y)
             if err == inf:
-                x, y = x * 0.5, y * 0.5
-                err = _norm(x - y)
+                err, norm = _norm(x * 0.5 - y * 0.5), norm * 0.5
     if not err:
         return 0.0
-    norm = _norm(x)
     return err / norm if norm else inf
+
+
+def _rel_error(t: DenseTensor, rec: DenseTensor) -> float:
+    """|t - rec| / |t| for equal-dims tensors: the one rule by which tenkit
+    measures an approximation, by :func:`_error_ratio` over the canonical
+    buffers.  0 for an exact fit, inf when only t is zero."""
+    return _error_ratio(t.data, rec.data, _norm(t.data))
+
+
+def _product_error(t: DenseTensor, a: np.ndarray, b: np.ndarray,
+                   norm: float) -> float:
+    """|t - a @ b| / ``norm``, where the C-order (M, C) product ``a @ b`` is
+    t's canonical buffer and is never formed: the error rule's front end for
+    a model that ends its reconstruction in one GEMM (the two halves of a
+    tensor train, or a CP model's Khatri-Rao chain and first factor).
+
+    The product is formed :data:`_BLOCK` entries of rows at a time (one row
+    when a row is wider) into one reused buffer.  Each block's rows are a
+    run of t's canonical buffer, measured against it by
+    :func:`_error_ratio`, and the result is the :func:`_norm` of the block
+    ratios.  So a product of one
+    block gets bitwise ``_rel_error(t, a @ b)`` when ``norm`` is |t|, and a
+    larger one agrees with it within roundoff.
+    """
+    rows = max(1, _BLOCK // b.shape[1])
+    buf = np.empty((min(rows, len(a)), b.shape[1]))
+    x = t.data.reshape(len(a), -1)
+    ratios = []
+    for i in range(0, len(a), rows):
+        y = np.matmul(a[i:i + rows], b, out=buf[:len(a) - i])
+        ratios.append(_error_ratio(x[i:i + rows].reshape(-1), y.reshape(-1),
+                                   norm))
+    return _norm(np.array(ratios))
 
 
 def _fit_norm(t: DenseTensor, fitter: str) -> float:

@@ -10,7 +10,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .dense import (DenseTensor, _fit_norm, _norm, _rel_error,
+from .dense import (DenseTensor, _fit_norm, _norm, _product_error,
                     _unfolding_row_blocks, frobenius_norm)
 from .ops import BlockMatrix, strong_kron
 
@@ -474,29 +474,36 @@ def _contract_chain(out: np.ndarray, cores: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def tt_reconstruct(m: TTModel, cap: int = DENSE_CAP) -> DenseTensor:
-    """Dense tensor, contracted from both ends of the chain to the middle.
+def _halves(cores: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The two halves of a chain whose C-order product ``right @ left`` is
+    the canonical buffer of the represented tensor.
 
     The chain is cut at the first bond k where I_1 ... I_k reaches
     sqrt(size).  The mirrored chain's sites N..k+1, contracted in C order
-    from a 1 x 1 one, give the (I_N ... I_{k+1}, R_k) matrix; its sites
-    k..1, contracted from the R_k x R_k identity, give the
-    (R_k, I_k ... I_1) one.  One GEMM of the two writes the canonical
-    buffer.  The intermediates hold O(R^2 I sqrt(size)) scalars, not the
-    O(R size) of a chain contracted from one end, and the output is written
-    once, at R_k multiply-adds per entry.
+    from a 1 x 1 one, give the (I_N ... I_{k+1}, R_k) matrix ``right``; its
+    sites k..1, contracted from the R_k x R_k identity, give the
+    (R_k, I_k ... I_1) matrix ``left``.  The contractions hold
+    O(R^2 I sqrt(size)) scalars, not the O(R size) of a chain contracted
+    from one end.
     """
-    dims = m.dims
+    dims = [c.shape[1] for c in cores]
     size = prod(dims)
-    _check_cap(size, cap)
     k = 0
     while prod(dims[:k]) ** 2 < size:
         k += 1
-    mirrored = _mirror(m.cores)
-    right = _contract_chain(np.ones((1, 1)), mirrored[:m.order - k])
-    left = _contract_chain(np.eye(right.shape[1]), mirrored[m.order - k:])
-    flat = (right @ left.reshape(right.shape[1], -1)).reshape(-1)
-    return DenseTensor(dims, flat, copy=False)
+    mirrored = _mirror(cores)
+    right = _contract_chain(np.ones((1, 1)), mirrored[:len(cores) - k])
+    left = _contract_chain(np.eye(right.shape[1]), mirrored[len(cores) - k:])
+    return right, left.reshape(right.shape[1], -1)
+
+
+def tt_reconstruct(m: TTModel, cap: int = DENSE_CAP) -> DenseTensor:
+    """Dense tensor, contracted from both ends of the chain to the middle:
+    one GEMM of the chain's two halves (:func:`_halves`) writes the
+    canonical buffer, at R_k multiply-adds per entry."""
+    _check_cap(prod(m.dims), cap)
+    right, left = _halves(m.cores)
+    return DenseTensor(m.dims, (right @ left).reshape(-1), copy=False)
 
 
 def ttm_reconstruct(m: TTMatrixModel, cap: int = DENSE_CAP) -> DenseTensor:
@@ -609,13 +616,11 @@ def _right_interfaces(cores: Sequence[np.ndarray]) -> list[np.ndarray]:
     return envs
 
 
-def _residual(t: DenseTensor, cores, norm_t: float, cap: int,
-              center: np.ndarray) -> float:
-    if prod(t.dims) <= cap:
-        return _rel_error(t, tt_reconstruct(TTModel(list(cores)), cap))
-    # over-cap fallback: with orthonormal interfaces the projection identity
-    # |X - Xhat|^2 = |X|^2 - |G_center|^2 holds (floors near sqrt(eps_mach))
-    return sqrt(max(1.0 - (_norm(center) / norm_t) ** 2, 0.0))
+def _residual(t: DenseTensor, cores, norm_t: float) -> float:
+    """|t - chain| / ``norm_t`` by the error rule, the product of the
+    chain's two halves formed one block at a time (:func:`_product_error`),
+    never the whole reconstruction."""
+    return _product_error(t, *_halves(cores), norm_t)
 
 
 def _half_sweep(arr: np.ndarray, cores: list, caps: Sequence[int | None],
@@ -660,7 +665,7 @@ def _half_sweep(arr: np.ndarray, cores: list, caps: Sequence[int | None],
 
 def _sweeps(t: DenseTensor, norm_t: float, cores: list, width: int,
             split: Callable, caps: list, max_sweeps: int, target: float,
-            tol: float, cap: int) -> TTModel:
+            tol: float) -> TTModel:
     """Alternating half-sweeps from a chain whose orthogonality center is
     site 1.  The right-to-left half is :func:`_half_sweep` on the mirrored
     chain.  The relative residual is recorded after every half-sweep; the
@@ -678,7 +683,7 @@ def _sweeps(t: DenseTensor, norm_t: float, cores: list, width: int,
                     width, split)
         cores, flipped = _mirror(cores), not flipped
         history.append(_residual(t, _mirror(cores) if flipped else cores,
-                                 norm_t, cap, cores[0]))
+                                 norm_t))
         if history[-1] <= target or (len(history) > 2 and
                                      abs(history[-3] - history[-1]) < tol):
             break
@@ -688,8 +693,7 @@ def _sweeps(t: DenseTensor, norm_t: float, cores: list, width: int,
 
 
 def tt_als(t: DenseTensor, ranks: Sequence[int] | int, *,
-           max_sweeps: int = 20, tol: float = 1e-12, seed=None,
-           cap: int = DENSE_CAP) -> TTModel:
+           max_sweeps: int = 20, tol: float = 1e-12, seed=None) -> TTModel:
     """Fixed-rank one-site ALS sweeps.
 
     With the complement held in mixed-canonical form, the optimal core at each
@@ -697,13 +701,14 @@ def tt_als(t: DenseTensor, ranks: Sequence[int] | int, *,
     interfaces, and a QR split moves the orthogonality center on.  Each
     half-sweep carries the tensor projected onto the left cores so far,
     which shrinks site by site (see :func:`_half_sweep`), so only its first
-    site touches the full tensor and it costs O(R size), not O(N R size);
-    the dense residual after it costs one :func:`tt_reconstruct`.  The
-    relative residual is recorded after every half-sweep in
-    ``meta['residual_history']`` and is non-increasing up to roundoff.  The
-    sweeps stop after the first half-sweep whose residual is 0 or differs by
-    less than ``tol`` from the one two half-sweeps before, or after
-    ``max_sweeps`` full sweeps.  ``ortho_center`` is where the last
+    site touches the full tensor and it costs O(R size), not O(N R size).
+    The relative residual after it is the error rule on the product of the
+    chain's two halves, formed one block at a time (:func:`_residual`), so
+    no tensor-sized reconstruction is held; it is recorded after every
+    half-sweep in ``meta['residual_history']`` and is non-increasing up to
+    roundoff.  The sweeps stop after the first half-sweep whose residual is
+    0 or differs by less than ``tol`` from the one two half-sweeps before,
+    or after ``max_sweeps`` full sweeps.  ``ortho_center`` is where the last
     half-sweep left the center: site N after a left-to-right half, site 1
     after a right-to-left half or when ``max_sweeps`` is 0.  A negative
     ``max_sweeps`` or a tensor of zero or non-finite norm raises ValueError.
@@ -723,19 +728,11 @@ def tt_als(t: DenseTensor, ranks: Sequence[int] | int, *,
              for n in range(n_modes)]
     cores = tt_orthogonalize(TTModel(cores), 1).cores
     return _sweeps(t, norm_t, cores, 1, _qr_split,
-                   [None] * (n_modes - 1), max_sweeps, 0.0, tol, cap)
-
-
-def _svd_splitter(mat: np.ndarray, delta: float,
-                  cap: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_truncated_split` as ``tt_mals``' default ``splitter``."""
-    left, rest, _ = _truncated_split(mat, delta, cap)
-    return left, rest
+                   [None] * (n_modes - 1), max_sweeps, 0.0, tol)
 
 
 def tt_mals(t: DenseTensor, eps: float, *, max_sweeps: int = 10,
-            seed=None, max_ranks=None, cap: int = DENSE_CAP,
-            splitter: Callable | None = None) -> TTModel:
+            seed=None, max_ranks=None) -> TTModel:
     """Two-site MALS/DMRG sweeps with rank adaptation.
 
     Neighboring cores are merged into a supercore, set to the projection of
@@ -744,14 +741,13 @@ def tt_mals(t: DenseTensor, eps: float, *, max_sweeps: int = 10,
     tolerance eps |t|_F / sqrt(N-1); bond ranks adapt both ways.
     As in :func:`tt_als`, each half-sweep carries the shrinking projected
     tensor, so only its first window touches the full tensor and it costs
-    O(R size) plus the splits; the dense residual after it costs one :func:`tt_reconstruct`.
-    Starts from a random rank-1 chain.  ``splitter(mat, delta, cap)`` may
-    replace the SVD split (e.g. a nonnegative factorization); it must return
-    (left, right) with orthonormal left columns.  The relative residual is
-    recorded after every half-sweep in ``meta['residual_history']``.  The
-    sweeps stop after the first half-sweep whose residual is <= ``eps`` or
-    differs by less than 1e-14 from the one two half-sweeps before, or after
-    ``max_sweeps`` full sweeps.  ``ortho_center`` is where the last
+    O(R size) plus the splits, and its residual is measured as in
+    :func:`tt_als`.  Starts from a random rank-1 chain.  The relative
+    residual is recorded after every half-sweep in
+    ``meta['residual_history']``.  The sweeps stop after the first
+    half-sweep whose residual is <= ``eps`` or differs by less than 1e-14
+    from the one two half-sweeps before, or after ``max_sweeps`` full
+    sweeps.  ``ortho_center`` is where the last
     half-sweep left the center: site N after a left-to-right half, site 1
     after a right-to-left half or when ``max_sweeps`` is 0.  A negative
     ``max_sweeps`` or a tensor of zero or non-finite norm raises ValueError.
@@ -763,14 +759,13 @@ def tt_mals(t: DenseTensor, eps: float, *, max_sweeps: int = 10,
         raise ValueError("MALS needs an order >= 2 tensor")
     norm_t = _fit_norm(t, "tt_mals")
     caps = _rank_caps(max_ranks, n_modes - 1)
-    split = splitter or _svd_splitter
     delta = eps * norm_t / sqrt(n_modes - 1)
     rng = np.random.default_rng(seed)
     cores = [rng.standard_normal((1, d, 1)) for d in t.dims]
     cores = tt_orthogonalize(TTModel(cores), 1).cores
     return _sweeps(t, norm_t, cores, 2,
-                   lambda mat, bond_cap: split(mat, delta, bond_cap),
-                   caps, max_sweeps, eps, 1e-14, cap)
+                   lambda mat, cap: _truncated_split(mat, delta, cap)[:2],
+                   caps, max_sweeps, eps, 1e-14)
 
 
 def tt_to_strong_kron(m: TTModel, cap: int = DENSE_CAP) -> tuple[list[BlockMatrix], np.ndarray]:

@@ -1,5 +1,6 @@
 """CP model reconstruction, matricized forms, and ALS fitting."""
 
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -107,6 +108,20 @@ def test_fit_values():
     assert np.isclose(cp_fit(t, other), direct, rtol=1e-13)
     with pytest.raises(ValueError):
         cp_fit(DenseTensor((2, 2), np.zeros(4)), m)
+
+
+def test_fit_holds_no_tensor_sized_reconstruction():
+    # a 64^3 reconstruction would be 2 MB; the fit forms it in 2^16-entry
+    # blocks of one buffer
+    m = _random_model((64, 64, 64), 4, seed=5)
+    t = cp_reconstruct(_random_model((64, 64, 64), 4, seed=6))
+    tracemalloc.start()
+    try:
+        cp_fit(t, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 @pytest.mark.parametrize("model_dims", [(6, 4), (4, 5), (4, 6, 1), (24,)])

@@ -14,8 +14,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from tenkit.cpd import cp_als
 from tenkit.cur import fstd
-from tenkit.dense import (BIG_ENDIAN, LITTLE_ENDIAN, _SLICE, DenseTensor,
-                          UnfoldingSpec, _norm, _rel_error, extract_subtensor,
+from tenkit.dense import (BIG_ENDIAN, LITTLE_ENDIAN, _BLOCK, _SLICE,
+                          DenseTensor, UnfoldingSpec, _norm, _product_error,
+                          _rel_error, extract_subtensor,
                           fiber, fold, fold_general, frobenius_norm,
                           linear_index, multi_index, unfold, unfold_general,
                           vectorize)
@@ -414,6 +415,37 @@ def test_rel_error_allocates_one_slice():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * _SLICE + 2 ** 12
+
+
+def _product(shape, rank, seed, noise, k=0):
+    # small-integer factors, so a @ b is exact however a GEMM blocks its
+    # rows, and t - a @ b is the same difference in every block
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-4, 5, (shape[0], rank)).astype(float)
+    b = rng.integers(-4, 5, (rank, shape[1])).astype(float)
+    x = a @ b + noise * rng.standard_normal(shape)
+    return (DenseTensor((x.size,), np.ldexp(x, k).reshape(-1)),
+            np.ldexp(a, k), b)
+
+
+@_property
+@given(shape=st.sampled_from([(1, 5000), (64, 1000), (300, 700),
+                              (3, _BLOCK + 17)]),
+       rank=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       noise=st.sampled_from([1e-12, 1.0]), k=st.integers(-900, 900))
+@example(shape=(300, 700), rank=3, seed=0, noise=1e-12, k=-900)
+@example(shape=(300, 700), rank=3, seed=0, noise=1.0, k=900)
+def test_product_error_is_the_plain_ratio_at_any_scale_property(shape, rank,
+                                                                seed, noise,
+                                                                k):
+    # one row, one block, several blocks and a partial one, rows wider than
+    # a block
+    t, a, b = _product(shape, rank, seed, noise)
+    err = _product_error(t, a, b, _norm(t.data))
+    want = np.linalg.norm(t.data - (a @ b).ravel()) / np.linalg.norm(t.data)
+    assert abs(err - want) <= 1e-14 * want
+    t, a, b = _product(shape, rank, seed, noise, k)
+    assert abs(_product_error(t, a, b, _norm(t.data)) - err) <= 1e-14 * err
 
 
 _FITTERS = {

@@ -18,13 +18,13 @@ import tenkit.ttrain as tt_module
 import tenkit.tucker as tucker_module
 from helpers import noisy_cp_cube, random_tt
 from tenkit.cpd import cp_als
-from tenkit.dense import (BIG_ENDIAN, _SLICE, DenseTensor, UnfoldingSpec,
-                          _rel_error, frobenius_norm, unfold, unfold_general,
-                          vectorize)
+from tenkit.dense import (BIG_ENDIAN, _BLOCK, _SLICE, DenseTensor,
+                          UnfoldingSpec, _rel_error, frobenius_norm, unfold,
+                          unfold_general, vectorize)
 from tenkit.quantize import QuantizationScheme, qtt_compress, qtt_decompress
 from tenkit.ttrain import (TTMatrixModel, TTModel, _half_sweep, _left_factor,
-                           _numerical_rank, _right_interfaces, _svd_splitter,
-                           _tsqr_r, tt_als,
+                           _numerical_rank, _right_interfaces,
+                           _truncated_split, _tsqr_r, tt_als,
                            tt_element, tt_mals, tt_norm, tt_orthogonalize,
                            tt_outer_sum, tt_reconstruct, tt_round, tt_storage,
                            tt_svd, tt_to_strong_kron, ttm_element,
@@ -394,8 +394,10 @@ def test_split_and_sweep_structure():
     # loop of their own in tt_orthogonalize and tt_round (the chain sweep
     # holds it); one TSQR fold, which no Tucker or CP code bypasses, and no
     # unfolding copied whole for the CP start; one error rule, defined in
-    # dense.py and called by every fit and report, and no difference of a
-    # tensor and its reconstruction formed anywhere else
+    # dense.py: the CLI's reports call it on two tensors, the sweeps and the
+    # CP fit on the two factors of their last GEMM, and no difference of a
+    # tensor and its reconstruction is formed anywhere else; one residual
+    # path, with no cap, splitter or projection-identity fallback
     def called_in(path, name, **keywords):
         # the functions that call ``name`` with at least these keywords
         tree = ast.parse(Path(path).read_text())
@@ -417,14 +419,23 @@ def test_split_and_sweep_structure():
     assert called_in(cpd_module.__file__, "unfold") == set()
     assert {p.name for p in src.glob("*.py")
             if called_in(p, "_tsqr_group")} == {"ttrain.py"}
-    defines = {p.name for p in src.glob("*.py")
-               if any(isinstance(fn, ast.FunctionDef) and fn.name == "_rel_error"
-                      for fn in ast.walk(ast.parse(p.read_text())))}
-    assert defines == {"dense.py"}
-    assert called_in(cpd_module.__file__, "_rel_error") == {"cp_fit"}
-    assert called_in(tt_module.__file__, "_rel_error") == {"_residual"}
-    assert called_in(cli_module.__file__, "_rel_error") == {
+    for rule in ("_rel_error", "_error_ratio", "_product_error"):
+        defines = {p.name for p in src.glob("*.py")
+                   if any(isinstance(fn, ast.FunctionDef) and fn.name == rule
+                          for fn in ast.walk(ast.parse(p.read_text())))}
+        assert defines == {"dense.py"}, rule
+    assert set().union(*(called_in(p, "_product_error")
+                         for p in src.glob("*.py"))) == {"cp_fit", "_residual"}
+    assert set().union(*(called_in(p, "_rel_error")
+                         for p in src.glob("*.py"))) == {
         "cmd_decompose", "cmd_reconstruct", "cmd_bench"}
+    residual = ast.parse(inspect.getsource(tt_module._residual))
+    assert not any(isinstance(node, (ast.If, ast.IfExp))
+                   for node in ast.walk(residual))
+    for fn in (tt_als, tt_mals):
+        params = inspect.signature(fn).parameters
+        assert not {"cap", "splitter"} & set(params), fn.__name__
+    assert not hasattr(tt_module, "_svd_splitter")
     for module in (cli_module, cpd_module, tt_module):
         assert called_in(module.__file__, "np.subtract") == set()
     assert not hasattr(tt_module, "_tt_buffer")
@@ -457,19 +468,22 @@ def test_tt_als_residual_monotone():
 
 
 def test_residual_history_is_bitwise_the_plain_difference(monkeypatch):
-    # the residual is the one error rule, dense._rel_error, bit for bit;
-    # below one slice its sum of squares is numpy's own over the whole
-    # difference, so every entry also equals |t - rec| / |t| bit for bit,
-    # and over several slices it agrees within roundoff
+    # the residual is the one error rule, dense._rel_error, on the
+    # reconstruction's blocks; a tensor of one block gets it bit for bit.
+    # Below one slice its sum of squares is numpy's own over the whole
+    # difference, so every entry also equals |t - rec| / |t| bit for bit;
+    # over several slices, or several blocks, it agrees within roundoff
     rng = np.random.default_rng(23)
     t = DenseTensor.from_array(rng.standard_normal((4, 5, 4, 3)))
     big = DenseTensor.from_array(rng.standard_normal((6, 7, 8, 9, 5)))
-    assert t.size < _SLICE < big.size // 3
+    blocks = DenseTensor.from_array(rng.standard_normal((4,) * 9))
+    assert t.size < _SLICE < big.size // 3 and big.size < _BLOCK
+    assert blocks.size >= 4 * _BLOCK
     residual, seen = tt_module._residual, []
 
-    def checked(t, cores, norm_t, cap, center):
+    def checked(t, cores, norm_t):
         rec = tt_reconstruct(TTModel(list(cores)))
-        seen.append((residual(t, cores, norm_t, cap, center),
+        seen.append((residual(t, cores, norm_t),
                      _rel_error(t, rec),
                      tt_module._norm(t.data - rec.data) / norm_t))
         return seen[-1][0]
@@ -478,25 +492,33 @@ def test_residual_history_is_bitwise_the_plain_difference(monkeypatch):
     tt_mals(t, eps=0.3, max_sweeps=2, seed=4)
     small = len(seen)
     tt_als(big, (2, 3, 3, 2), max_sweeps=2, tol=0.0, seed=5)
-    assert small >= 8 and len(seen) == small + 4
+    one_block = len(seen)
+    tt_als(blocks, 2, max_sweeps=1, tol=0.0, seed=6)
+    assert small >= 8 and len(seen) == one_block + 2 == small + 6
     assert all(new == rule == old > 0 for new, rule, old in seen[:small])
     assert all(new == rule and abs(new - old) <= 1e-14 * old
-               for new, rule, old in seen[small:])
+               for new, rule, old in seen[small:one_block])
+    assert all(abs(new - rule) <= 1e-14 * rule and
+               abs(new - old) <= 1e-14 * old
+               for new, rule, old in seen[one_block:])
 
 
 def test_residual_holds_one_tensor_sized_temporary():
-    # as in test_tt_reconstruct_allocates_little_beyond_its_output: the
-    # reconstruction is the only tensor-sized allocation, and the residual
-    # is formed one 32 KB slice at a time beside it
-    m = random_tt((2,) * 16, (4,) * 15, seed=41)
-    t = tt_reconstruct(random_tt((2,) * 16, (4,) * 15, seed=42))
-    tracemalloc.start()
-    try:
-        tt_module._residual(t, m.cores, 1.0, 2 ** 16, m.cores[0])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * 2 ** 16 + 2 ** 16
+    # the reconstruction is formed one 2^16-entry block at a time in one
+    # buffer, and each block's difference one 32 KB slice at a time beside
+    # it, so a 2^16-entry tensor and a 2^20-entry one share one bound; the
+    # chain's two halves add 16 R sqrt(size) bytes
+    for sites, rank in ((16, 4), (20, 1)):
+        shape, ranks = (2,) * sites, (rank,) * (sites - 1)
+        m = random_tt(shape, ranks, seed=41)
+        t = tt_reconstruct(random_tt(shape, ranks, seed=42))
+        tracemalloc.start()
+        try:
+            tt_module._residual(t, m.cores, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2 ** 16 + 2 ** 16, sites
 
 
 def test_tt_als_needs_ranks():
@@ -587,7 +609,7 @@ def test_half_sweep_matches_einsum_formulation(data, seed):
             np.linalg.norm(arr) / np.sqrt(order - 1)
 
         def split(mat, cap):
-            return _svd_splitter(mat, delta, cap)
+            return _truncated_split(mat, delta, cap)[:2]
     start = tt_orthogonalize(random_tt(dims, ranks, seed), 1).cores
     got, want = list(start), list(start)
     _half_sweep(arr, got, caps, width, split)
@@ -860,24 +882,6 @@ def test_tt_orthogonalize_explicit_gram_products():
             mat = c.reshape(c.shape[0], -1)
             gram = mat @ mat.T
             assert np.max(np.abs(gram - np.eye(c.shape[0]))) <= 1e-12
-
-
-def test_tt_mals_custom_splitter_hook():
-    calls = []
-
-    def counting_splitter(mat, delta, cap):
-        calls.append(mat.shape)
-        u, s, vt = np.linalg.svd(mat, full_matrices=False)
-        keep = max(int(np.sum(s > (delta / max(1, mat.shape[0])) )), 1)
-        if cap is not None:
-            keep = min(keep, cap)
-        return u[:, :keep], s[:keep, None] * vt[:keep]
-
-    t = fixture_tensor(seed=38, dims=(4, 4, 4), ranks=(2, 2))
-    m = tt_mals(t, eps=1e-8, max_sweeps=4, seed=0,
-                splitter=counting_splitter)
-    assert calls  # the hook was exercised
-    assert m.meta["residual_history"][-1] <= 1e-8
 
 
 @pytest.mark.parametrize("shape,rank", [
