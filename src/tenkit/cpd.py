@@ -148,13 +148,18 @@ def cp_unfolded(m: CPModel, n: int, convention: str = "little-endian") -> np.nda
 def cp_fit(t: DenseTensor, m: CPModel) -> float:
     """1 - relative Frobenius error of the model against ``t``, by the error
     rule on the GEMM that ends :func:`cp_reconstruct`, formed one block of
-    rows at a time (:func:`tenkit.dense._product_error`); |t| is measured
-    once and no tensor-sized reconstruction is held."""
+    rows at a time (:func:`tenkit.dense._product_error`); no tensor-sized
+    reconstruction is held.  |t| is measured once, by the input rule of the
+    fitters (:func:`tenkit.dense._fit_norm`), so a tensor of zero or
+    non-finite norm raises ValueError."""
     if t.dims != m.dims:
         raise ValueError(f"model dims {m.dims} differ from tensor dims {t.dims}")
-    norm_t = _norm(t.data)
-    if norm_t == 0.0:
-        raise ValueError("fit undefined for a zero-norm tensor")
+    return _cp_fit(t, m, _fit_norm(t, "cp_fit"))
+
+
+def _cp_fit(t: DenseTensor, m: CPModel, norm_t: float) -> float:
+    """:func:`cp_fit` with |t| given: ``cp_als`` measures |t| once and
+    passes it to the fit of every sweep."""
     return 1.0 - _product_error(t, *_gemm_operands(m), norm_t)
 
 
@@ -221,7 +226,7 @@ def cp_als(t: DenseTensor, rank: int, *, max_iters: int = 200,
         raise ValueError(f"unknown init {init!r}")
     if not (np.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
-    _fit_norm(t, "cp_als")
+    norm_t = _fit_norm(t, "cp_als")
     order = t.order
     arr = t.to_array()
     # one factorization per unfolding gives the SVD start and the mode
@@ -259,7 +264,7 @@ def cp_als(t: DenseTensor, rank: int, *, max_iters: int = 200,
                 factors[n - 1] = f
                 grams[n - 1] = f.T @ f
             model = CPModel(lam, factors)
-            history.append(cp_fit(t, model))
+            history.append(_cp_fit(t, model, norm_t))
             if sweep > 0 and abs(history[-1] - history[-2]) < tol:
                 converged = True
                 break

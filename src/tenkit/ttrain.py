@@ -604,15 +604,15 @@ def _check_rank_chain(ranks: Sequence[int], dims: Sequence[int]) -> None:
                              f"{tuple(dims)} and the requested chain")
 
 
-def _right_interfaces(cores: Sequence[np.ndarray]) -> list[np.ndarray]:
-    # envs[n] has shape (R_n, prod I_{n+1}..I_N); envs[N] is the 1x1 identity.
-    n = len(cores)
-    envs = [None] * (n + 1)
-    envs[n] = np.ones((1, 1))
-    for k in range(n - 1, -1, -1):
+def _right_interfaces(cores: Sequence[np.ndarray], order: str) -> list:
+    # envs[k] is the (R_k, I_{k+1} ... I_N) interface of sites k+1..N in the
+    # layout ``order``, one GEMM per site from envs[N], the 1x1 identity; a
+    # half-sweep reads none left of site 2, so envs[0] stays None
+    envs = [None] * len(cores) + [np.ones((1, 1))]
+    for k in range(len(cores) - 1, 0, -1):
         c = cores[k]
-        nxt = np.tensordot(c, envs[k + 1], axes=(2, 0))
-        envs[k] = nxt.reshape(c.shape[0], -1)
+        envs[k] = np.matmul(c.reshape(-1, c.shape[2], order=order), envs[k + 1],
+                            order=order).reshape(c.shape[0], -1, order=order)
     return envs
 
 
@@ -623,44 +623,52 @@ def _residual(t: DenseTensor, cores, norm_t: float) -> float:
     return _product_error(t, *_halves(cores), norm_t)
 
 
-def _half_sweep(arr: np.ndarray, cores: list, caps: Sequence[int | None],
-                width: int, split: Callable) -> None:
+def _half_sweep(arr: np.ndarray, order: str, cores: list,
+                caps: Sequence[int | None], width: int, split: Callable) -> None:
     """One left-to-right half-sweep of ``width``-site local steps, in place.
 
-    ``cores`` must be right-orthogonal from site 2 on and ``arr`` is the
-    tensor as a C-contiguous array with one axis per site, so every reshape
-    below is a view.  The sweep carries ``w``, the tensor projected onto the
-    orthonormal left cores so far, as an (R_{n-1}, I_n ... I_N) matrix that
-    starts as ``arr`` itself.  Each window's local core is one GEMM of ``w``
-    with the window's right interface, and ``split(mat, cap)`` splits it
-    into (left, rest) with orthonormal left columns.  One more GEMM projects
-    ``w`` onto the new left core, which shrinks it by I_n / R_n.  So the
-    full tensor is read only by the first window's two GEMMs: window n costs
-    about 2 R_{n-1} R' size / (I_1 ... I_{n-1}) multiply-adds, R' its right
-    bond, which falls geometrically once I_1 ... I_{n-1} outgrows the ranks.
-    A half-sweep costs O(R size) plus the right interfaces, not the
-    O(N R size) of contracting the whole tensor at every site.  The next
-    window replaces ``rest`` except after the last window, which keeps it.
-    The orthogonality center ends on the last site.
+    ``cores`` must be right-orthogonal from site 2 on.  ``arr`` is the
+    tensor with one axis per site, a C- or F-contiguous view of the
+    canonical buffer, and ``order`` ("C" or "F") names its layout: every
+    reshape of ``arr``, of ``w`` and of the interfaces uses it, so none of
+    them copies.  The sweep carries ``w``, the tensor projected onto the
+    orthonormal left cores so far, as an (R_{n-1}, I_n ... I_N) matrix in
+    that layout that starts as ``arr`` itself.  Each window's local core is
+    one GEMM of ``w`` with the window's right interface
+    (:func:`_right_interfaces`).  ``split(mat, cap)`` splits its C-order
+    (R_{n-1} I_n, ...) unfolding, the same small matrix in either layout,
+    into (left, rest) with orthonormal left columns, so the cores do not
+    depend on ``order`` beyond roundoff.  One more GEMM, written in
+    ``order``, projects ``w`` onto the new left core, which shrinks it by
+    I_n / R_n.  So the full tensor is read only by the first window's two
+    GEMMs: window n costs about 2 R_{n-1} R' size / (I_1 ... I_{n-1})
+    multiply-adds, R' its right bond, which falls geometrically once
+    I_1 ... I_{n-1} outgrows the ranks.  A half-sweep costs O(R size) plus
+    the right interfaces, not the O(N R size) of contracting the whole
+    tensor at every site.  The next window replaces ``rest`` except after
+    the last window, which keeps it.  The orthogonality center ends on the
+    last site.
     """
     n_modes = len(cores)
     dims = arr.shape
-    renvs = _right_interfaces(cores)
-    w = arr.reshape(1, -1)
+    renvs = _right_interfaces(cores, order)
+    w = arr.reshape(1, -1, order=order)
     for n in range(n_modes - width + 1):
         renv = renvs[n + width]
         rank = w.shape[0]
-        local = w.reshape(-1, renv.shape[1]) @ renv.T
+        local = (w.reshape(-1, renv.shape[1], order=order) @ renv.T).reshape(
+            (rank,) + dims[n:n + width] + (-1,), order=order)
         last = n == n_modes - width
         if last and width == 1:
-            cores[n] = local.reshape(rank, dims[n], 1)
+            cores[n] = local
             return
         a, rest = split(local.reshape(rank * dims[n], -1), caps[n])
         cores[n] = a.reshape(rank, dims[n], a.shape[1])
         if last:
             cores[n + 1] = rest.reshape(a.shape[1], dims[n + 1], 1)
             return
-        w = a.T @ w.reshape(rank * dims[n], -1)
+        w = np.matmul(cores[n].reshape(-1, a.shape[1], order=order).T,
+                      w.reshape(rank * dims[n], -1, order=order), order=order)
 
 
 def _sweeps(t: DenseTensor, norm_t: float, cores: list, width: int,
@@ -673,13 +681,14 @@ def _sweeps(t: DenseTensor, norm_t: float, cores: list, width: int,
     the last two half-sweeps.  A negative ``max_sweeps`` raises ValueError."""
     if max_sweeps < 0:
         raise ValueError(f"max_sweeps must be >= 0, got {max_sweeps}")
-    # the left-to-right half needs a C-order copy; the mirrored half reads
-    # the canonical buffer as it is, so only one layout path is needed
-    views = (np.ascontiguousarray(t.to_array()), t.to_array().T)
+    # both halves read the canonical buffer itself: the left-to-right half
+    # as its F-order view, the right-to-left half as the mirrored tensor,
+    # whose transpose is a C-order view of the same buffer
+    views = ((t.to_array(), "F"), (t.to_array().T, "C"))
     history = []
     flipped = False
     for _ in range(2 * max_sweeps):
-        _half_sweep(views[flipped], cores, caps[::-1] if flipped else caps,
+        _half_sweep(*views[flipped], cores, caps[::-1] if flipped else caps,
                     width, split)
         cores, flipped = _mirror(cores), not flipped
         history.append(_residual(t, _mirror(cores) if flipped else cores,

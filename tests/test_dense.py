@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tenkit.cpd import cp_als
+from tenkit.cpd import CPModel, cp_als, cp_fit
 from tenkit.cur import fstd
 from tenkit.dense import (BIG_ENDIAN, LITTLE_ENDIAN, _BLOCK, _SLICE,
                           DenseTensor, UnfoldingSpec, _norm, _product_error,
@@ -452,6 +452,7 @@ _FITTERS = {
     "tt_als": lambda t: tt_als(t, 2),
     "tt_mals": lambda t: tt_mals(t, eps=1e-2),
     "cp_als": lambda t: cp_als(t, 2),
+    "cp_fit": lambda t: cp_fit(t, CPModel(np.ones(2), [np.ones((4, 2))] * 3)),
     "fstd": lambda t: fstd(t, counts=(2, 2, 2)),
     "hosvd_from_subtensors":
         lambda t: hosvd_from_subtensors(t, counts=(2, 2, 2)),

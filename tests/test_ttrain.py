@@ -397,7 +397,9 @@ def test_split_and_sweep_structure():
     # dense.py: the CLI's reports call it on two tensors, the sweeps and the
     # CP fit on the two factors of their last GEMM, and no difference of a
     # tensor and its reconstruction is formed anywhere else; one residual
-    # path, with no cap, splitter or projection-identity fallback
+    # path, with no cap, splitter or projection-identity fallback; one
+    # layout path for the sweeps, with no copy of the input, no tensordot
+    # and no interface of the whole chain
     def called_in(path, name, **keywords):
         # the functions that call ``name`` with at least these keywords
         tree = ast.parse(Path(path).read_text())
@@ -425,7 +427,7 @@ def test_split_and_sweep_structure():
                           for fn in ast.walk(ast.parse(p.read_text())))}
         assert defines == {"dense.py"}, rule
     assert set().union(*(called_in(p, "_product_error")
-                         for p in src.glob("*.py"))) == {"cp_fit", "_residual"}
+                         for p in src.glob("*.py"))) == {"_cp_fit", "_residual"}
     assert set().union(*(called_in(p, "_rel_error")
                          for p in src.glob("*.py"))) == {
         "cmd_decompose", "cmd_reconstruct", "cmd_bench"}
@@ -438,6 +440,12 @@ def test_split_and_sweep_structure():
     assert not hasattr(tt_module, "_svd_splitter")
     for module in (cli_module, cpd_module, tt_module):
         assert called_in(module.__file__, "np.subtract") == set()
+    for name in ("np.tensordot", "np.ascontiguousarray"):
+        assert called_in(tt_module.__file__, name) == set(), name
+    cores = tt_orthogonalize(random_tt((2, 3, 4, 3), (2, 3, 2), seed=7), 1).cores
+    for layout in ("C", "F"):
+        envs = _right_interfaces(cores, layout)
+        assert envs[0] is None and envs[1].shape == (2, 36), layout
     assert not hasattr(tt_module, "_tt_buffer")
     assert not hasattr(cpd_module, "_cp_buffer")
     for fn in (tt_orthogonalize, tt_round):
@@ -521,6 +529,26 @@ def test_residual_holds_one_tensor_sized_temporary():
         assert peak <= 8 * 2 ** 16 + 2 ** 16, sites
 
 
+def test_sweeps_hold_no_copy_and_no_whole_chain_interface():
+    # both half-sweeps read the canonical buffer and no interface of the
+    # whole chain is built. On 4^8 with ranks 4, 6, ..., 6, 4 the right
+    # interfaces sum to about 1.5 tensor sizes (the first, R_1 x size/I_1,
+    # is one) and the first projection is one more, so a sweep peaks below
+    # three; a C-order copy of the input and a (1, size) interface would add
+    # one size each
+    dims, ranks = (4,) * 8, (4, 6, 6, 6, 6, 6, 4)
+    t = tt_reconstruct(random_tt(dims, ranks, seed=3))
+    for fit in (lambda: tt_als(t, ranks, max_sweeps=1, tol=0.0, seed=0),
+                lambda: tt_mals(t, eps=1e-2, max_sweeps=1, seed=0)):
+        tracemalloc.start()
+        try:
+            fit()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * t.data.nbytes
+
+
 def test_tt_als_needs_ranks():
     with pytest.raises(TypeError, match="tt_als needs ranks"):
         tt_als(separable_tensor(), None)
@@ -566,7 +594,10 @@ def _einsum_half_sweep(arr, cores, caps, width, split):
     contracts the whole tensor with explicit left and right interfaces."""
     n_modes = len(cores)
     dims = arr.shape
-    renvs = _right_interfaces(cores)
+    renvs = {n_modes: np.ones((1, 1))}
+    for k in range(n_modes - 1, 0, -1):
+        renvs[k] = np.tensordot(cores[k], renvs[k + 1], axes=(2, 0)).reshape(
+            cores[k].shape[0], -1)
     left = np.ones((1, 1))
     for n in range(n_modes - width + 1):
         renv = renvs[n + width]
@@ -589,14 +620,17 @@ def _einsum_half_sweep(arr, cores, caps, width, split):
 @given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
 def test_half_sweep_matches_einsum_formulation(data, seed):
     # width 1 with the QR split of ALS, width 2 with the truncated SVD split
-    # of MALS under per-bond caps; dims include 1
+    # of MALS under per-bond caps; dims include 1; the tensor is read in
+    # either layout, as the two halves of a sweep read it
     order = data.draw(st.integers(2, 6))
     dims = data.draw(st.lists(st.integers(1, 4), min_size=order,
                               max_size=order))
     ranks = data.draw(st.lists(st.integers(1, 4), min_size=order - 1,
                                max_size=order - 1))
     width = data.draw(st.sampled_from([1, 2]))
-    arr = np.random.default_rng(seed).standard_normal(dims)
+    layout = data.draw(st.sampled_from(["C", "F"]))
+    arr = np.asarray(np.random.default_rng(seed).standard_normal(dims),
+                     order=layout)
     if width == 1:
         caps = [None] * (order - 1)
 
@@ -612,7 +646,7 @@ def test_half_sweep_matches_einsum_formulation(data, seed):
             return _truncated_split(mat, delta, cap)[:2]
     start = tt_orthogonalize(random_tt(dims, ranks, seed), 1).cores
     got, want = list(start), list(start)
-    _half_sweep(arr, got, caps, width, split)
+    _half_sweep(arr, layout, got, caps, width, split)
     _einsum_half_sweep(arr, want, caps, width, split)
     assert [c.shape for c in got] == [c.shape for c in want]
     scale = np.linalg.norm(arr)
